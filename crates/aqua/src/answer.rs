@@ -10,8 +10,8 @@ use congress::bounds::{
 };
 use engine::rewrite::measure_key;
 use engine::{
-    AggregateFn, GroupByQuery, GroupIndex, QueryCache, QueryResult, StratifiedInput, StratumCell,
-    StratumSummary,
+    AggregateFn, ExecOptions, GroupByQuery, GroupIndex, QueryCache, QueryResult, Selection,
+    StratifiedInput, StratumCell, StratumSummary,
 };
 use relation::GroupKey;
 
@@ -106,6 +106,9 @@ impl fmt::Display for ApproximateAnswer {
 /// (so tuples failing the WHERE clause contribute zeros, exactly like the
 /// rewritten SQL); AVG uses the stratified mean bound over qualifying
 /// tuples, falling back to Hoeffding when only one stratum contributes.
+///
+/// This is the uncached reference fold — one pass over every sample row
+/// into a hash map of cells — that the served paths are tested against.
 pub fn compute_bounds(
     input: &StratifiedInput,
     query: &GroupByQuery,
@@ -115,9 +118,12 @@ pub fn compute_bounds(
     compute_bounds_cached(input, query, result, confidence, None)
 }
 
-/// [`compute_bounds`] with an optional per-synopsis [`QueryCache`]: the
-/// unfiltered group index over the sample is the same one the rewrite
-/// strategies memoize, so the warm path skips rebuilding it here too.
+/// [`compute_bounds`] with an optional per-synopsis [`QueryCache`]. With a
+/// cache, group-only predicates are served from cached per-(group,
+/// stratum) moment tables; any other predicate is evaluated once with the
+/// engine's scan evaluator and its selection swept by
+/// [`compute_bounds_selected`]. Bit-identical to the uncached fold either
+/// way.
 pub fn compute_bounds_cached(
     input: &StratifiedInput,
     query: &GroupByQuery,
@@ -125,26 +131,159 @@ pub fn compute_bounds_cached(
     confidence: f64,
     cache: Option<&QueryCache>,
 ) -> Result<Vec<GroupBounds>> {
+    let Some(cache) = cache else {
+        return bounds_by_row_fold(input, query, result, confidence);
+    };
     let rel = &input.rows;
-
     // O(groups) fast path: when the predicate is determined by the grouping
     // columns alone, every surviving result group is fully selected, so
     // cached per-(group, stratum) moment cells reproduce the scan's
     // moments exactly — no row scan, no masked evaluation.
-    if let Some(cache) = cache {
-        if rel.row_count() > 0 && query.predicate.references_only(&query.grouping) {
-            return bounds_from_summaries(input, query, result, confidence, cache);
+    if rel.row_count() > 0 && query.predicate.references_only(&query.grouping) {
+        return bounds_from_summaries(input, query, result, confidence, cache);
+    }
+    let opts = ExecOptions {
+        cache: Some(cache),
+        ..ExecOptions::default()
+    };
+    let selection = Selection::evaluate(rel, query, &opts)?;
+    compute_bounds_selected(input, query, result, confidence, cache, Some(&selection))
+}
+
+/// Bounds for an answer whose scan already evaluated the query: `selection`
+/// is what [`SamplePlan::execute_selected`](engine::SamplePlan::execute_selected)
+/// returned alongside `result`. `None` (the plan answered from cached
+/// summaries without a row scan) falls back to
+/// [`compute_bounds_cached`], which serves it from the summary tables.
+///
+/// The sweep visits only the selected rows. Bit-identity with the
+/// uncached fold, which pushes every sampled row into two moment sets per
+/// (group, stratum) cell: the moments over selected rows are the same
+/// pushes in the same row order; the indicator moments over *all* rows
+/// differ from them only by pushing an exact `0.0` for each rejected row,
+/// which leaves `Σv` and `Σv²` unchanged (neither sum can be `-0.0`, so
+/// `x + 0.0 == x` bit for bit) and only raises `n` — to the cell's row
+/// count, read from the cached COUNT table. Their `min`/`max` differ but
+/// the stratified sum bound never reads them. Cells are combined per
+/// group in ascending stratum id order in both paths.
+pub fn compute_bounds_selected(
+    input: &StratifiedInput,
+    query: &GroupByQuery,
+    result: &QueryResult,
+    confidence: f64,
+    cache: &QueryCache,
+    selection: Option<&Selection>,
+) -> Result<Vec<GroupBounds>> {
+    let Some(selection) = selection else {
+        return compute_bounds_cached(input, query, result, confidence, Some(cache));
+    };
+    let rel = &input.rows;
+    let index = cache.index_for(rel, &query.grouping, false);
+    // Every sampled row of each (group, stratum) cell, whether selected or
+    // not: the COUNT table, cached once per grouping for the generation.
+    let counts = cache.stratum_summary_for(&query.grouping, &measure_key(None), || {
+        Ok(StratumSummary::build(&index, &input.stratum_of_row, None))
+    })?;
+
+    // Moments over the selected rows, one slot per (cell, aggregate) in
+    // the COUNT table's flat cell order.
+    let aggs = query.aggregates.len();
+    let mut selected = vec![Moments::new(); counts.cell_count() * aggs];
+    for row in selection.mask.ones() {
+        let g = index.group_of(row);
+        if g == u32::MAX {
+            continue;
+        }
+        let cell = counts
+            .cell_of(g, input.stratum_of_row[row])
+            .expect("every live row has a count cell");
+        let slots = &mut selected[cell * aggs..(cell + 1) * aggs];
+        for (m, e) in slots.iter_mut().zip(&selection.exprs) {
+            m.push(e.as_ref().map_or(1.0, |vals| vals[row]));
         }
     }
+
+    let mut out = Vec::with_capacity(result.group_count());
+    for (key, _) in result.iter() {
+        let Some(gid) = index.gid_of_key(key) else {
+            out.push(GroupBounds {
+                key: key.clone(),
+                bounds: vec![None; aggs],
+            });
+            continue;
+        };
+        let strata = counts.strata_of(gid);
+        let cells = counts.cell_range(gid);
+        let bounds = query
+            .aggregates
+            .iter()
+            .enumerate()
+            .map(|(ai, spec)| {
+                let per_stratum = strata.iter().zip(cells.clone()).map(|((s, n), c)| {
+                    let sel = selected[c * aggs + ai];
+                    (*s, Moments { n: n.count, ..sel }, sel)
+                });
+                aggregate_bound(spec.func, per_stratum, &input.scale_factors, confidence)
+            })
+            .collect();
+        out.push(GroupBounds {
+            key: key.clone(),
+            bounds,
+        });
+    }
+    Ok(out)
+}
+
+/// One aggregate's bound for one group. `strata` yields, in ascending
+/// stratum id order, `(stratum, moments of v·sel over all the stratum's
+/// sampled rows in the group, moments of v over its selected rows)`.
+fn aggregate_bound(
+    func: AggregateFn,
+    strata: impl Iterator<Item = (u32, Moments, Moments)>,
+    scale_factors: &[f64],
+    confidence: f64,
+) -> Option<ErrorBound> {
+    // Estimated stratum population within the group: SF × sampled rows.
+    let part = |s: u32, m: Moments| {
+        let sf = scale_factors[s as usize];
+        let pop = (sf * m.n as f64).round() as u64;
+        (m, sf, pop.max(m.n))
+    };
+    match func {
+        AggregateFn::Sum | AggregateFn::Count => {
+            let parts: Vec<(Moments, f64, u64)> = strata.map(|(s, all, _)| part(s, all)).collect();
+            Some(stratified_sum_bound(&parts, confidence))
+        }
+        AggregateFn::Avg => {
+            let parts: Vec<(Moments, f64, u64)> = strata
+                .filter(|(_, _, sel)| sel.n > 0)
+                .map(|(s, _, sel)| part(s, sel))
+                .collect();
+            if parts.len() == 1 {
+                Some(avg_bound_hoeffding(&parts[0].0, confidence))
+            } else {
+                Some(stratified_avg_bound(&parts, confidence))
+            }
+        }
+        AggregateFn::Min | AggregateFn::Max => None,
+    }
+}
+
+/// The uncached reference fold behind [`compute_bounds`]: every sample
+/// row, selected or not, pushed into per-(group, stratum) hash-map cells.
+fn bounds_by_row_fold(
+    input: &StratifiedInput,
+    query: &GroupByQuery,
+    result: &QueryResult,
+    confidence: f64,
+) -> Result<Vec<GroupBounds>> {
+    let rel = &input.rows;
 
     // Zone-map pruned evaluation: bit-identical to `eval` (chunk verdicts
     // are exact), the bounds pass just pays less for selective predicates.
     let (mask, _ranges, _stats) = query.predicate.eval_pruned(rel);
     // Group rows by the *query's* grouping (not the strata grouping).
-    let index: Arc<GroupIndex> = match cache {
-        Some(c) => c.index_for(rel, &query.grouping, false),
-        None => Arc::new(GroupIndex::build(rel, &query.grouping)),
-    };
+    let index = GroupIndex::build(rel, &query.grouping);
 
     // Masked evaluation: unselected slots come back 0.0, which is exactly
     // what the indicator-moment accumulation below pushes for them anyway.
@@ -204,7 +343,7 @@ pub fn compute_bounds_cached(
     let mut out = Vec::with_capacity(result.group_count());
     for (key, _) in result.iter() {
         // Map result keys back to index group ids via the index's memoized
-        // reverse map (built once per index, shared by every query).
+        // reverse map.
         let Some(gid) = index.gid_of_key(key) else {
             out.push(GroupBounds {
                 key: key.clone(),
@@ -259,9 +398,9 @@ pub fn compute_bounds_cached(
 /// path for predicates over the grouping columns alone (including no
 /// predicate at all).
 ///
-/// Bit-identity with the scan path: every result group is fully selected
+/// Bit-identity with the row fold: every result group is fully selected
 /// (group-determined predicates drop excluded groups from `result`
-/// entirely), so the scan's indicator moments over *all* tuples equal its
+/// entirely), so the fold's indicator moments over *all* tuples equal its
 /// moments over *selected* tuples equal the cached cells, which
 /// [`StratumSummary::build`] folds in the same row order with the same
 /// float operations as `Moments::push`. Both paths then combine strata
@@ -317,41 +456,19 @@ fn bounds_from_summaries(
             });
             continue;
         };
-        let mut bounds = Vec::with_capacity(aggs);
-        for (ai, spec) in query.aggregates.iter().enumerate() {
-            let bound = match spec.func {
-                AggregateFn::Sum | AggregateFn::Count => {
-                    let strata = tables[ai].as_ref().expect("table built").strata_of(gid);
-                    let parts: Vec<(Moments, f64, u64)> = strata
-                        .iter()
-                        .map(|(s, cell)| {
-                            let sf = input.scale_factors[*s as usize];
-                            let pop = (sf * cell.count as f64).round() as u64;
-                            (moments(cell), sf, pop.max(cell.count))
-                        })
-                        .collect();
-                    Some(stratified_sum_bound(&parts, confidence))
-                }
-                AggregateFn::Avg => {
-                    let strata = tables[ai].as_ref().expect("table built").strata_of(gid);
-                    let parts: Vec<(Moments, f64, u64)> = strata
-                        .iter()
-                        .map(|(s, cell)| {
-                            let sf = input.scale_factors[*s as usize];
-                            let pop = (sf * cell.count as f64).round() as u64;
-                            (moments(cell), sf, pop.max(cell.count))
-                        })
-                        .collect();
-                    if parts.len() == 1 {
-                        Some(avg_bound_hoeffding(&parts[0].0, confidence))
-                    } else {
-                        Some(stratified_avg_bound(&parts, confidence))
-                    }
-                }
-                AggregateFn::Min | AggregateFn::Max => None,
-            };
-            bounds.push(bound);
-        }
+        let bounds = query
+            .aggregates
+            .iter()
+            .zip(&tables)
+            .map(|(spec, table)| {
+                let strata = table.as_ref().map_or(&[][..], |t| t.strata_of(gid));
+                let per_stratum = strata.iter().map(|(s, cell)| {
+                    let m = moments(cell);
+                    (*s, m, m)
+                });
+                aggregate_bound(spec.func, per_stratum, &input.scale_factors, confidence)
+            })
+            .collect();
         out.push(GroupBounds {
             key: key.clone(),
             bounds,

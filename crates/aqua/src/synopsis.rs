@@ -370,8 +370,9 @@ impl Synopsis {
         &self.cache
     }
 
-    /// The plan cache (normalized SQL → parsed + rewritten plan) for the
-    /// current synopsis generation; invalidated with [`Self::query_cache`].
+    /// The plan cache (normalized SQL → parsed + rewritten plan). Schema-
+    /// scoped: no generation change clears it (plans depend only on the
+    /// schema and rewrite choice); its per-shard cap bounds it instead.
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
     }

@@ -178,6 +178,20 @@ fn render_human(s: &StatsSnapshot) -> String {
         }
     }
 
+    let _ = writeln!(out, "\n== serving caches ==");
+    for cache in ["plan", "answer"] {
+        let h = s.counter(&format!("aqua_{cache}_cache_hits_total"));
+        let m = s.counter(&format!("aqua_{cache}_cache_misses_total"));
+        let _ = writeln!(
+            out,
+            "{cache:<6} entries {}  hits {h}  misses {m}  hit rate {}  evictions {}  invalidations {}",
+            s.gauge(&format!("aqua_{cache}_cache_entries")),
+            rate(h, m),
+            s.counter(&format!("aqua_{cache}_cache_evictions_total")),
+            s.counter(&format!("aqua_{cache}_cache_invalidations_total")),
+        );
+    }
+
     let _ = writeln!(out, "\n== synopsis maintenance ==");
     let _ = writeln!(
         out,
@@ -284,6 +298,8 @@ mod tests {
         let out = stats(&args(DEMO)).unwrap();
         assert!(out.contains("== queries =="), "{out}");
         assert!(out.contains("== query cache =="), "{out}");
+        assert!(out.contains("== serving caches =="), "{out}");
+        assert!(out.contains("evictions 0"), "{out}");
         assert!(out.contains("== synopsis maintenance =="), "{out}");
         // Cache counters are live regardless of the obs feature.
         assert!(out.contains("hit rate"), "{out}");
@@ -311,6 +327,10 @@ mod tests {
         let out = stats(&args(&with_prom)).unwrap();
         assert!(
             out.contains("# TYPE aqua_cache_hits_total counter"),
+            "{out}"
+        );
+        assert!(
+            out.contains("# TYPE aqua_answer_cache_evictions_total counter"),
             "{out}"
         );
 

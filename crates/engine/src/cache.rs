@@ -396,44 +396,84 @@ impl StratumCell {
 
 /// Per-(group, stratum) moment cells for one (grouping, measure) pair,
 /// feeding the variance-based error bounds without scanning rows. Cells
-/// are folded in row order (matching the bounds scan) and each group's
-/// strata are sorted by stratum id so the downstream bound combination
-/// folds in a deterministic order.
+/// are folded in row order (matching the bounds scan) and stored flat,
+/// group by group, each group's strata ascending by stratum id — so the
+/// downstream bound combination folds in a deterministic order, and a
+/// cell's position in the flat array is a dense index the bounds sweep
+/// can accumulate into.
 #[derive(Debug, Clone)]
 pub struct StratumSummary {
-    by_group: Vec<Vec<(u32, StratumCell)>>,
+    /// `offsets[g]..offsets[g + 1]` bounds group `g`'s cells in `cells`.
+    offsets: Vec<u32>,
+    cells: Vec<(u32, StratumCell)>,
 }
 
 impl StratumSummary {
     /// Fold every live row of `index` into its (group, stratum) cell.
     /// `values` is the evaluated measure expression (`None` means COUNT,
     /// which folds `1.0` per row — the bounds-path convention).
+    ///
+    /// Rows are visited stratum by stratum (a stable counting sort, so
+    /// ascending row order within each stratum): each group then meets
+    /// its strata in ascending id order and each cell its rows in row
+    /// order, with no hash map.
     pub fn build(
         index: &GroupIndex,
         stratum_of_row: &[u32],
         values: Option<&[f64]>,
     ) -> StratumSummary {
-        let mut cells: HashMap<(u32, u32), StratumCell> = HashMap::new();
-        for (r, &g) in index.group_ids().iter().enumerate() {
-            if g == u32::MAX {
-                continue;
-            }
-            let v = values.map_or(1.0, |vals| vals[r]);
-            cells.entry((g, stratum_of_row[r])).or_default().push(v);
-        }
+        let strata = stratum_of_row.iter().max().map_or(0, |&s| s as usize + 1);
+        let layout = StratumLayout::build(stratum_of_row, strata);
         let mut by_group: Vec<Vec<(u32, StratumCell)>> = vec![Vec::new(); index.group_count()];
-        for ((g, s), cell) in cells {
-            by_group[g as usize].push((s, cell));
+        for s in 0..strata as u32 {
+            for &row in layout.rows_of(s as usize) {
+                let g = index.group_of(row as usize);
+                if g == u32::MAX {
+                    continue;
+                }
+                let group = &mut by_group[g as usize];
+                if group.last().is_none_or(|&(last, _)| last != s) {
+                    group.push((s, StratumCell::new()));
+                }
+                let v = values.map_or(1.0, |vals| vals[row as usize]);
+                group.last_mut().expect("cell pushed above").1.push(v);
+            }
         }
-        for strata in &mut by_group {
-            strata.sort_unstable_by_key(|&(s, _)| s);
+        let mut offsets = Vec::with_capacity(by_group.len() + 1);
+        offsets.push(0);
+        let mut cells = Vec::new();
+        for group in by_group {
+            cells.extend(group);
+            offsets.push(cells.len() as u32);
         }
-        StratumSummary { by_group }
+        StratumSummary { offsets, cells }
     }
 
     /// The non-empty strata of group `gid`, sorted by stratum id.
     pub fn strata_of(&self, gid: u32) -> &[(u32, StratumCell)] {
-        &self.by_group[gid as usize]
+        &self.cells[self.cell_range(gid)]
+    }
+
+    /// Positions of group `gid`'s cells in the flat cell order
+    /// (`0..cell_count()`), aligned with [`Self::strata_of`].
+    pub fn cell_range(&self, gid: u32) -> std::ops::Range<usize> {
+        self.offsets[gid as usize] as usize..self.offsets[gid as usize + 1] as usize
+    }
+
+    /// Total (group, stratum) cells over every group.
+    pub fn cell_count(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Flat position of the (`gid`, `stratum`) cell, if that group has
+    /// rows in that stratum.
+    pub fn cell_of(&self, gid: u32, stratum: u32) -> Option<usize> {
+        let range = self.cell_range(gid);
+        let start = range.start;
+        self.cells[range]
+            .binary_search_by_key(&stratum, |&(s, _)| s)
+            .ok()
+            .map(|i| start + i)
     }
 }
 

@@ -44,8 +44,8 @@ pub use exec::{
     execute_exact, execute_exact_cancellable, execute_exact_encoded, execute_exact_opts,
 };
 pub use grouping::GroupIndex;
-pub use plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
+pub use plan_cache::{CachedPlan, PlanCache, PlanCacheStats, SqlCache, SqlCacheStats};
 pub use query::{GroupByQuery, Having};
 pub use result::QueryResult;
-pub use rewrite::{Integrated, KeyNormalized, NestedIntegrated, Normalized, SamplePlan};
+pub use rewrite::{Integrated, KeyNormalized, NestedIntegrated, Normalized, SamplePlan, Selection};
 pub use stratified::StratifiedInput;

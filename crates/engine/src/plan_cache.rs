@@ -1,4 +1,6 @@
-//! The plan cache: normalized SQL text → parsed + rewritten plan.
+//! The plan cache: normalized SQL text → parsed + rewritten plan, and
+//! the bounded sharded map ([`SqlCache`]) it shares with Aqua's answer
+//! cache.
 //!
 //! The serving path pays three text-shaped costs per `answer_sql` call
 //! before any data is touched: tokenize + parse the query, then render
@@ -10,12 +12,12 @@
 //!
 //! Like [`QueryCache`](crate::QueryCache), the cache is sharded by key
 //! hash and interior-mutable: lookups take one shard read lock, inserts
-//! one shard write lock, and the owner (Aqua's synopsis) calls
-//! [`PlanCache::invalidate`] on ingest/refresh/rebuild. Plans do not
-//! actually depend on the sample's *contents* — only on the schema and
-//! rewrite strategy, which are fixed per synopsis — but invalidating on
-//! the same schedule as the data caches keeps the invalidation matrix
-//! uniform and costs one cleared map per mutation.
+//! one shard write lock. Plans depend only on the schema and rewrite
+//! strategy, both fixed per synopsis, never on the sample's contents — so
+//! the owner (Aqua's synopsis) keeps them across ingest, refresh and
+//! rebuild and never invalidates this cache. What keeps it from growing
+//! with every distinct SQL text ever served is the per-shard entry cap
+//! ([`SHARD_CAP`]): a full shard evicts one resident entry per insert.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -30,6 +32,12 @@ use serde::{Deserialize, Serialize};
 use crate::query::GroupByQuery;
 
 const SHARDS: usize = 8;
+
+/// Entries one shard holds before an insert evicts: 8 × 512 = 4,096 per
+/// cache. Workloads that repeat a working set (dashboards) stay far below
+/// it; workloads of ever-new SQL texts would otherwise grow the cache
+/// without limit.
+pub const SHARD_CAP: usize = 512;
 
 fn shard_of(key: &str) -> usize {
     let mut h = DefaultHasher::new();
@@ -48,60 +56,73 @@ pub struct CachedPlan {
     pub rewritten: String,
 }
 
-/// Sharded map from normalized SQL to [`CachedPlan`], with hit/miss/
-/// invalidation counters (relaxed atomics, same discipline as the data
-/// caches: counters survive invalidation, entries do not).
+/// Sharded map from normalized SQL to a shared `V`, each shard capped at
+/// [`SHARD_CAP`] entries, with hit / miss / invalidation / eviction
+/// counters (relaxed atomics; counters survive invalidation, entries do
+/// not).
 #[derive(Debug)]
-pub struct PlanCache {
-    shards: Vec<RwLock<HashMap<String, Arc<CachedPlan>>>>,
+pub struct SqlCache<V> {
+    shards: Vec<RwLock<HashMap<String, Arc<V>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
+    evictions: AtomicU64,
 }
 
-impl Default for PlanCache {
+/// Normalized SQL → [`CachedPlan`].
+pub type PlanCache = SqlCache<CachedPlan>;
+
+/// Point-in-time [`PlanCache`] counters.
+pub type PlanCacheStats = SqlCacheStats;
+
+impl<V> Default for SqlCache<V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl PlanCache {
+impl<V> SqlCache<V> {
     /// An empty cache.
-    pub fn new() -> PlanCache {
-        PlanCache {
+    pub fn new() -> SqlCache<V> {
+        SqlCache {
             shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
     }
 
-    /// Look up a plan by normalized key, counting a hit or miss.
-    pub fn get(&self, key: &str) -> Option<Arc<CachedPlan>> {
+    /// Look up an entry by normalized key, counting a hit or miss.
+    pub fn get(&self, key: &str) -> Option<Arc<V>> {
         let found = self.shards[shard_of(key)].read().get(key).cloned();
-        match found {
-            Some(p) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(p)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Insert `value` under `key`. First insert wins: under a race the
+    /// earlier entry is kept and returned, so every caller holding an
+    /// entry for `key` holds *the same* `Arc` (equivalence tests compare
+    /// plans by pointer). A new key landing in a full shard first evicts
+    /// one resident entry, so the shard never exceeds [`SHARD_CAP`].
+    pub fn insert(&self, key: String, value: Arc<V>) -> Arc<V> {
+        let mut shard = self.shards[shard_of(&key)].write();
+        if shard.len() >= SHARD_CAP && !shard.contains_key(&key) {
+            let victim = shard.keys().next().cloned();
+            if let Some(victim) = victim {
+                shard.remove(&victim);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
+        Arc::clone(shard.entry(key).or_insert(value))
     }
 
-    /// Insert a plan under `key`. First insert wins: under a race the
-    /// earlier entry is kept and returned, so every caller holding a plan
-    /// for `key` holds *the same* plan (equivalence tests compare plans
-    /// by pointer).
-    pub fn insert(&self, key: String, plan: CachedPlan) -> Arc<CachedPlan> {
-        let mut shard = self.shards[shard_of(&key)].write();
-        Arc::clone(shard.entry(key).or_insert_with(|| Arc::new(plan)))
-    }
-
-    /// Drop every entry (counters survive). Called on ingest / refresh /
-    /// rebuild, mirroring [`QueryCache::invalidate`](crate::QueryCache::invalidate).
+    /// Drop every entry (counters survive).
     pub fn invalidate(&self) {
         for shard in &self.shards {
             shard.write().clear();
@@ -109,41 +130,44 @@ impl PlanCache {
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of cached plans.
+    /// Number of cached entries.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().len()).sum()
     }
 
-    /// `true` when no plans are cached.
+    /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
+    pub fn stats(&self) -> SqlCacheStats {
+        SqlCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.len() as u64,
         }
     }
 }
 
-/// Point-in-time [`PlanCache`] counters.
+/// Point-in-time [`SqlCache`] counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PlanCacheStats {
-    /// Lookups that found a plan.
+pub struct SqlCacheStats {
+    /// Lookups that found an entry.
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
     /// Times the cache was cleared.
     pub invalidations: u64,
-    /// Plans currently cached.
+    /// Entries dropped to keep a full shard at its cap.
+    pub evictions: u64,
+    /// Entries currently cached.
     pub entries: u64,
 }
 
-impl PlanCacheStats {
+impl SqlCacheStats {
     /// Hits over lookups, 0.0 when no lookups happened.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -160,11 +184,11 @@ mod tests {
     use super::*;
     use crate::aggregate::AggregateSpec;
 
-    fn plan(tag: &str) -> CachedPlan {
-        CachedPlan {
+    fn plan(tag: &str) -> Arc<CachedPlan> {
+        Arc::new(CachedPlan {
             query: GroupByQuery::new(vec![], vec![AggregateSpec::count("count_star")]),
             rewritten: tag.to_string(),
-        }
+        })
     }
 
     #[test]
@@ -203,5 +227,46 @@ mod tests {
             assert!(c.get(&format!("key-{i}")).is_some());
         }
         assert_eq!(c.stats().hits, 64);
+    }
+
+    #[test]
+    fn full_shards_evict_to_stay_at_the_cap() {
+        let c = PlanCache::new();
+        let cap = SHARDS * SHARD_CAP;
+        let inserted = cap + 1_000;
+        for i in 0..inserted {
+            let key = format!("key-{i}");
+            let got = c.insert(key.clone(), plan(&key));
+            // The new entry is resident right after its insert.
+            assert_eq!(got.rewritten, key);
+            assert!(c.get(&key).is_some());
+        }
+        assert!(c.len() <= cap);
+        assert!(c.shards.iter().all(|s| s.read().len() <= SHARD_CAP));
+        let s = c.stats();
+        assert_eq!(s.evictions, (inserted - c.len()) as u64);
+        assert!(s.evictions >= 1_000);
+        // A re-insert of a resident key in a full shard evicts nothing and
+        // keeps the first entry.
+        let resident = c.shards[0].read().keys().next().cloned().unwrap();
+        let kept = c.insert(resident.clone(), plan("second"));
+        assert_eq!(kept.rewritten, resident);
+        assert_eq!(c.stats().evictions, s.evictions);
+    }
+
+    #[test]
+    fn working_set_below_the_cap_always_hits() {
+        let c = PlanCache::new();
+        for i in 0..256 {
+            c.insert(format!("key-{i}"), plan("x"));
+        }
+        for _ in 0..10 {
+            for i in 0..256 {
+                assert!(c.get(&format!("key-{i}")).is_some());
+            }
+        }
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (2_560, 0, 0));
+        assert_eq!(s.hit_rate(), 1.0);
     }
 }

@@ -8,7 +8,7 @@ use crate::cache::ExecOptions;
 use crate::error::Result;
 use crate::query::GroupByQuery;
 use crate::result::QueryResult;
-use crate::rewrite::{aggregate_weighted_opts, SamplePlan};
+use crate::rewrite::{aggregate_weighted_opts, SamplePlan, Selection};
 use crate::stratified::StratifiedInput;
 
 /// Name of the appended ScaleFactor column.
@@ -49,7 +49,11 @@ impl SamplePlan for Integrated {
         "Integrated"
     }
 
-    fn execute_opts(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
+    fn execute_selected(
+        &self,
+        query: &GroupByQuery,
+        opts: &ExecOptions,
+    ) -> Result<(QueryResult, Option<Selection>)> {
         // The per-row weights are already materialized as the SF column, so
         // the only cacheable state is the group index itself.
         let weights = self

@@ -11,7 +11,7 @@ use crate::join::hash_join_unique_int;
 use crate::query::GroupByQuery;
 use crate::result::QueryResult;
 use crate::rewrite::normalized::build_gid_aux;
-use crate::rewrite::{aggregate_weighted_opts, SamplePlan};
+use crate::rewrite::{aggregate_weighted_opts, SamplePlan, Selection};
 use crate::stratified::StratifiedInput;
 
 /// Name of the appended GID column.
@@ -83,7 +83,11 @@ impl SamplePlan for KeyNormalized {
         "Key-normalized"
     }
 
-    fn execute_opts(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
+    fn execute_selected(
+        &self,
+        query: &GroupByQuery,
+        opts: &ExecOptions,
+    ) -> Result<(QueryResult, Option<Selection>)> {
         // Cold path: pay the single-int GID join per query (Fig 10). Warm
         // path: the cached stratum layout expands AuxRel's SF column to the
         // identical per-row weights without probing a hash table.

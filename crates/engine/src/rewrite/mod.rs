@@ -46,9 +46,22 @@ pub trait SamplePlan {
     fn name(&self) -> &'static str;
 
     /// Execute `query` against the sample with explicit execution options
-    /// (query cache, parallel aggregation). The result is bit-identical
-    /// for every option combination; options only change the cost.
-    fn execute_opts(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult>;
+    /// (query cache, parallel aggregation), also returning the row scan's
+    /// [`Selection`] so the bounds pass can reuse it instead of evaluating
+    /// the predicate again. The selection is `None` when the answer came
+    /// from cached summaries without a row scan. The result is
+    /// bit-identical for every option combination; options only change
+    /// the cost.
+    fn execute_selected(
+        &self,
+        query: &GroupByQuery,
+        opts: &ExecOptions,
+    ) -> Result<(QueryResult, Option<Selection>)>;
+
+    /// [`Self::execute_selected`] without the selection.
+    fn execute_opts(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
+        self.execute_selected(query, opts).map(|(result, _)| result)
+    }
 
     /// Execute `query` against the sample, producing scaled estimates.
     /// Equivalent to [`Self::execute_opts`] with default (cold, serial)
@@ -145,6 +158,29 @@ pub(crate) fn grouping_index(
         } else {
             GroupIndex::build(rel, cols)
         }),
+    }
+}
+
+/// What one row scan selected: the predicate's bitmap over the sample and
+/// each aggregate's input evaluated over the selected rows only
+/// (unselected slots hold `0.0`). The scan hands it to the bounds pass, so
+/// an answer evaluates its WHERE clause once.
+#[derive(Debug)]
+pub struct Selection {
+    /// Rows satisfying the query's predicate.
+    pub mask: Bitmap,
+    /// Per-aggregate input values, aligned with the query's aggregates
+    /// (`None` for COUNT, which has no input expression).
+    pub exprs: Vec<Option<Vec<f64>>>,
+}
+
+impl Selection {
+    /// Evaluate `query`'s predicate and aggregate inputs over `rel` with
+    /// the scan's own evaluator (zone-map pruning and kernels per `opts`).
+    pub fn evaluate(rel: &Relation, query: &GroupByQuery, opts: &ExecOptions) -> Result<Selection> {
+        let (mask, _ranges) = eval_predicate(rel, &query.predicate, opts);
+        let exprs = masked_exprs(rel, query, &mask)?;
+        Ok(Selection { mask, exprs })
     }
 }
 
@@ -508,13 +544,13 @@ pub(crate) fn summary_rows(
 /// This is the execution core of Integrated, Normalized, and Key-normalized
 /// — they differ only in how `weights` is obtained. The group index is the
 /// *unfiltered* one (cacheable across predicates); the selection bitmap is
-/// applied during accumulation instead.
+/// applied during accumulation instead, and returned with the result.
 pub(crate) fn aggregate_weighted_opts(
     rel: &Relation,
     weights: &[f64],
     query: &GroupByQuery,
     opts: &ExecOptions,
-) -> Result<QueryResult> {
+) -> Result<(QueryResult, Option<Selection>)> {
     query.validate(rel)?;
     debug_assert_eq!(weights.len(), rel.row_count());
 
@@ -528,7 +564,8 @@ pub(crate) fn aggregate_weighted_opts(
                 trace.record(ServedFrom::Summary, 0);
             }
             let index = cache.index_for(rel, &query.grouping, opts.parallel);
-            return summary_rows(rel, &index, Some(weights), query, opts, cache);
+            let result = summary_rows(rel, &index, Some(weights), query, opts, cache)?;
+            return Ok((result, None));
         }
     }
 
@@ -540,19 +577,18 @@ pub(crate) fn aggregate_weighted_opts(
         };
         trace.record(served, rel.row_count() as u64);
     }
-    let (mask, _ranges) = eval_predicate(rel, &query.predicate, opts);
+    let selection = Selection::evaluate(rel, query, opts)?;
     let index = grouping_index(rel, &query.grouping, opts);
-    let exprs = masked_exprs(rel, query, &mask)?;
     let accs = accumulate(
         &index,
-        &mask,
-        &exprs,
+        &selection.mask,
+        &selection.exprs,
         Some(weights),
         query,
         opts.parallel,
         opts.cancel,
     )?;
-    finish_rows(&index, accs, query)
+    Ok((finish_rows(&index, accs, query)?, Some(selection)))
 }
 
 #[cfg(test)]

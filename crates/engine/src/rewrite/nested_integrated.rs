@@ -12,9 +12,7 @@ use crate::error::Result;
 use crate::grouping::GroupIndex;
 use crate::query::GroupByQuery;
 use crate::result::QueryResult;
-use crate::rewrite::{
-    accumulate, eval_predicate, grouping_index, masked_exprs, summary_accumulators, SamplePlan,
-};
+use crate::rewrite::{accumulate, grouping_index, summary_accumulators, SamplePlan, Selection};
 use crate::stratified::StratifiedInput;
 
 /// The Nested-integrated physical layout (identical storage to
@@ -93,7 +91,11 @@ impl SamplePlan for NestedIntegrated {
         "Nested-integrated"
     }
 
-    fn execute_opts(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
+    fn execute_selected(
+        &self,
+        query: &GroupByQuery,
+        opts: &ExecOptions,
+    ) -> Result<(QueryResult, Option<Selection>)> {
         query.validate(&self.rel)?;
         let rel = &self.rel;
 
@@ -114,7 +116,7 @@ impl SamplePlan for NestedIntegrated {
                 }
                 let inner = cache.index_for(rel, &inner_cols, opts.parallel);
                 let inner_accs = summary_accumulators(rel, &inner, None, query, opts, cache)?;
-                return self.fold_outer(&inner, inner_accs, query);
+                return Ok((self.fold_outer(&inner, inner_accs, query)?, None));
             }
         }
 
@@ -126,21 +128,20 @@ impl SamplePlan for NestedIntegrated {
             };
             trace.record(served, rel.row_count() as u64);
         }
-        let (mask, _ranges) = eval_predicate(rel, &query.predicate, opts);
+        let selection = Selection::evaluate(rel, query, opts)?;
         let inner = grouping_index(rel, &inner_cols, opts);
-        let exprs = masked_exprs(rel, query, &mask)?;
 
         // Pass 1: raw (unscaled) aggregation per inner group.
         let inner_accs = accumulate(
             &inner,
-            &mask,
-            &exprs,
+            &selection.mask,
+            &selection.exprs,
             None,
             query,
             opts.parallel,
             opts.cancel,
         )?;
-        self.fold_outer(&inner, inner_accs, query)
+        Ok((self.fold_outer(&inner, inner_accs, query)?, Some(selection)))
     }
 
     fn sample_relation(&self) -> &Relation {

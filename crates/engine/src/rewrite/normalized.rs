@@ -10,7 +10,7 @@ use crate::error::{EngineError, Result};
 use crate::join::hash_join_unique;
 use crate::query::GroupByQuery;
 use crate::result::QueryResult;
-use crate::rewrite::{aggregate_weighted_opts, SamplePlan};
+use crate::rewrite::{aggregate_weighted_opts, SamplePlan, Selection};
 use crate::stratified::StratifiedInput;
 
 /// The Normalized physical layout: plain sample + grouping-keyed AuxRel.
@@ -85,7 +85,11 @@ impl SamplePlan for Normalized {
         "Normalized"
     }
 
-    fn execute_opts(&self, query: &GroupByQuery, opts: &ExecOptions) -> Result<QueryResult> {
+    fn execute_selected(
+        &self,
+        query: &GroupByQuery,
+        opts: &ExecOptions,
+    ) -> Result<(QueryResult, Option<Selection>)> {
         // Cold path: the join is part of the rewritten query (Fig 9), so it
         // is paid on every execution — that cost is exactly what Expt 3/4
         // measure. Warm path: the join's output depends only on synopsis

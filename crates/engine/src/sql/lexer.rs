@@ -72,23 +72,26 @@ pub fn tokenize(text: &str) -> Result<Vec<Token>> {
                 i += 2;
             }
             '\'' => {
+                // Copy the literal in runs between quotes: a quote byte never
+                // occurs inside a multi-byte UTF-8 sequence, so every run is
+                // a whole-character slice of `text`.
                 let mut s = String::new();
                 i += 1;
+                let mut run = i;
                 loop {
                     match bytes.get(i) {
                         None => return Err(EngineError::Sql("unterminated string literal".into())),
                         Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
+                            s.push_str(&text[run..=i]);
                             i += 2;
+                            run = i;
                         }
                         Some(b'\'') => {
+                            s.push_str(&text[run..i]);
                             i += 1;
                             break;
                         }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                        Some(_) => i += 1,
                     }
                 }
                 out.push(Token::Str(s));
@@ -107,9 +110,13 @@ pub fn tokenize(text: &str) -> Result<Vec<Token>> {
                     i += 1;
                 }
                 let lit = &text[start..i];
+                // Overflowing literals parse to ±∞, which has no literal
+                // spelling to normalize back to: reject them here.
                 let v: f64 = lit
                     .parse()
-                    .map_err(|_| EngineError::Sql(format!("bad numeric literal `{lit}`")))?;
+                    .ok()
+                    .filter(|v: &f64| v.is_finite())
+                    .ok_or_else(|| EngineError::Sql(format!("bad numeric literal `{lit}`")))?;
                 out.push(Token::Number(v));
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
@@ -171,6 +178,8 @@ mod tests {
         let toks = tokenize("'it''s'").unwrap();
         assert_eq!(toks[0], Token::Str("it's".into()));
         assert!(tokenize("'open").is_err());
+        let toks = tokenize("'Zürich ''n'' 東京'").unwrap();
+        assert_eq!(toks[0], Token::Str("Zürich 'n' 東京".into()));
     }
 
     #[test]
@@ -184,5 +193,7 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert!(tokenize("select @foo").is_err());
+        // Overflow to ±∞ has no literal spelling to normalize back to.
+        assert!(tokenize("x < 1e999").is_err());
     }
 }

@@ -48,14 +48,22 @@ pub fn parse(schema: &Schema, text: &str) -> Result<GroupByQuery> {
         schema,
         tokens,
         pos: 0,
+        depth: 0,
     };
     p.query()
 }
+
+/// Deepest nesting of parentheses, unary minus and NOT the parser accepts.
+/// Each level is a few stack frames of recursive descent, so a request
+/// body of nothing but `(` must become an error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     schema: &'a Schema,
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting depth (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 /// One SELECT-list entry before GROUP BY validation.
@@ -113,6 +121,17 @@ impl<'a> Parser<'a> {
         } else {
             self.err(format!("expected `{sym}`, found {:?}", self.peek()))
         }
+    }
+
+    /// Run `f` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth >= MAX_DEPTH {
+            return self.err(format!("query nested deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn ident(&mut self, what: &str) -> Result<String> {
@@ -277,11 +296,11 @@ impl<'a> Parser<'a> {
             Some(Token::Number(v)) => Ok(Expr::lit(v)),
             Some(Token::Ident(name)) => Ok(Expr::col(self.column(&name)?)),
             Some(Token::Symbol("(")) => {
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect_symbol(")")?;
                 Ok(e)
             }
-            Some(Token::Symbol("-")) => Ok(Expr::lit(0.0).sub(self.factor()?)),
+            Some(Token::Symbol("-")) => Ok(Expr::lit(0.0).sub(self.nested(Self::factor)?)),
             other => self.err(format!("expected expression, found {other:?}")),
         }
     }
@@ -304,10 +323,10 @@ impl<'a> Parser<'a> {
 
     fn pred_unit(&mut self) -> Result<Predicate> {
         if self.eat_keyword("NOT") {
-            return Ok(self.pred_unit()?.not());
+            return Ok(self.nested(Self::pred_unit)?.not());
         }
         if self.eat_symbol("(") {
-            let p = self.predicate()?;
+            let p = self.nested(Self::predicate)?;
             self.expect_symbol(")")?;
             return Ok(p);
         }

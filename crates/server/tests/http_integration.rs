@@ -434,6 +434,9 @@ fn stats_and_metrics_endpoints() {
     // Two identical queries → the second hit the answer cache.
     assert!(seen.contains_key("aqua_answer_cache_hits_total"));
     assert_eq!(seen["aqua_answer_cache_hits_total"], "1");
+    // Both serving caches are far below their caps: nothing evicted.
+    assert_eq!(seen["aqua_answer_cache_evictions_total"], "0");
+    assert_eq!(seen["aqua_plan_cache_evictions_total"], "0");
     // The workload profile feeding the adaptive tuner is visible to
     // scrapers: the three answered queries (including the cache hit) were
     // profiled, independent of the obs feature.
