@@ -279,9 +279,9 @@ fn bounds_by_row_fold(
 ) -> Result<Vec<GroupBounds>> {
     let rel = &input.rows;
 
-    // Zone-map pruned evaluation: bit-identical to `eval` (chunk verdicts
-    // are exact), the bounds pass just pays less for selective predicates.
-    let (mask, _ranges, _stats) = query.predicate.eval_pruned(rel);
+    // The reference scan (no zone maps, no kernels), so this oracle does
+    // not share the fast scan that `compute_bounds_selected` consumes.
+    let mask = query.predicate.eval(rel);
     // Group rows by the *query's* grouping (not the strata grouping).
     let index = GroupIndex::build(rel, &query.grouping);
 

@@ -89,10 +89,10 @@ pub struct ExecOptions<'a> {
     /// scan does — never the computed result.
     pub pruning: bool,
     /// Use the decode-free scan kernels (see [`relation::kernels`]) for
-    /// predicate evaluation and scalar aggregate folds. Defaults to the
-    /// `CONGRESS_SCAN_KERNELS` env gate. Kernels are bit-identical to the
-    /// decode path by construction, so this flag only changes how the scan
-    /// computes — never what it computes.
+    /// predicate evaluation and scalar aggregate folds (on by default).
+    /// Kernels are bit-identical to the decode path by construction, so
+    /// this flag only changes how the scan computes — never what it
+    /// computes.
     pub kernels: bool,
 }
 
@@ -104,7 +104,7 @@ impl Default for ExecOptions<'_> {
             trace: None,
             cancel: None,
             pruning: true,
-            kernels: relation::scan_kernels_enabled(),
+            kernels: true,
         }
     }
 }

@@ -109,95 +109,6 @@ pub fn execute_exact_opts(
     finish_rows(&index, accs, query)
 }
 
-/// Execute `query` exactly over *encoded* chunked storage, decoding
-/// on demand: the predicate is evaluated chunk-by-chunk with zone-map
-/// skipping, only the grouping columns are materialized densely (and only
-/// because group codes need random access), and each aggregate input is
-/// decoded one chunk at a time into `scratch`-backed buffers for the rows
-/// the mask keeps. Bit-identical to decoding the whole relation and
-/// running [`execute_exact_opts`], which the equivalence tests assert.
-pub fn execute_exact_encoded(
-    enc: &EncodedRelation,
-    query: &GroupByQuery,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    query.validate_schema(enc.schema())?;
-    relation::with_scratch(|scratch| execute_exact_encoded_pooled(enc, query, opts, scratch))
-}
-
-fn execute_exact_encoded_pooled(
-    enc: &EncodedRelation,
-    query: &GroupByQuery,
-    opts: &ExecOptions,
-    scratch: &mut relation::DecodeScratch,
-) -> Result<QueryResult> {
-    let (mask, ranges, stats) = if opts.kernels {
-        let mut kstats = KernelStats::default();
-        let out = query
-            .predicate
-            .eval_encoded_kernels(enc, scratch, &mut kstats);
-        if let Some(trace) = opts.trace {
-            trace.record_kernels(&kstats);
-        }
-        out
-    } else {
-        query.predicate.eval_encoded(enc, scratch)
-    };
-    if let Some(trace) = opts.trace {
-        trace.record_chunks(stats.chunks - stats.pruned, stats.pruned);
-        trace.record(ServedFrom::ColdScan, ranges.covered_rows() as u64);
-    }
-
-    if opts.kernels && scalar_fold_applies(enc, query) {
-        return scalar_fold_encoded(enc, &mask, query, opts);
-    }
-
-    let index = if query.grouping.is_empty() {
-        GroupIndex::build_empty_grouping(enc.row_count(), Some(&mask), &ranges)
-    } else {
-        // Materialize just the grouping columns: group-code extraction is
-        // random access, so these few columns are decoded densely while
-        // every other column stays encoded. The projected relation carries
-        // the same values the full decode would, so ids, keys, and
-        // first-occurrence rows are identical.
-        let fields: Vec<_> = query
-            .grouping
-            .iter()
-            .map(|&c| enc.schema().fields()[c.0].clone())
-            .collect();
-        let columns: Vec<_> = query
-            .grouping
-            .iter()
-            .map(|&c| enc.column(c).to_column())
-            .collect::<relation::Result<_>>()?;
-        let proj = Relation::new(relation::Schema::new(fields)?, columns)?;
-        let proj_cols: Vec<relation::ColumnId> =
-            (0..query.grouping.len()).map(relation::ColumnId).collect();
-        GroupIndex::build_filtered_ranges(&proj, &proj_cols, Some(&mask), &ranges)
-    };
-
-    let exprs: Vec<Option<Vec<f64>>> = query
-        .aggregates
-        .iter()
-        .map(|a| {
-            a.expr
-                .as_ref()
-                .map(|e| e.eval_masked_encoded(enc, &mask, scratch))
-                .transpose()
-        })
-        .collect::<std::result::Result<_, _>>()?;
-    let accs = accumulate(
-        &index,
-        &mask,
-        &exprs,
-        None,
-        query,
-        opts.parallel,
-        opts.cancel,
-    )?;
-    finish_rows(&index, accs, query)
-}
-
 /// Whether `query` can be served by the decode-free scalar fold: no
 /// grouping, and every aggregate input is COUNT or a bare non-string
 /// column — the shapes whose per-chunk partials need no expression
@@ -458,9 +369,6 @@ mod tests {
         let r = rel();
         let q = GroupByQuery::new(vec![], vec![]);
         assert!(execute_exact(&r, &q).is_err());
-        let enc = relation::EncodedRelation::encode(&r);
-        let opts = crate::ExecOptions::default();
-        assert!(execute_exact_encoded(&enc, &GroupByQuery::new(vec![], vec![]), &opts).is_err());
     }
 
     /// Multi-chunk relation with a clustered id column so pruning actually
@@ -518,16 +426,14 @@ mod tests {
         ]
     }
 
-    /// `execute_exact_opts` (pruning on and off) and
-    /// `execute_exact_encoded` must all be bit-identical to the plain
-    /// dense executor — zone-map verdicts are exact, so pruning and
-    /// decode-on-demand only change cost, never bits.
+    /// `execute_exact_opts` with pruning on and off must be bit-identical
+    /// to the plain executor — zone-map verdicts are exact, so pruning only
+    /// changes cost, never bits.
     #[test]
-    fn pruned_and_encoded_exact_execution_are_bit_identical() {
+    fn pruned_exact_execution_is_bit_identical() {
         use crate::{ExecOptions, ExecTrace};
         let rows = 40_000; // 3 chunks at CHUNK_ROWS = 16Ki
         let r = chunked_rel(rows);
-        let enc = relation::EncodedRelation::encode(&r);
         for q in chunked_queries(rows) {
             let baseline = execute_exact(&r, &q).unwrap();
             let unpruned = execute_exact_opts(
@@ -549,8 +455,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let encoded = execute_exact_encoded(&enc, &q, &ExecOptions::default()).unwrap();
-            for other in [&unpruned, &pruned, &encoded] {
+            for other in [&unpruned, &pruned] {
                 assert_eq!(other.aggregate_names, baseline.aggregate_names);
                 assert_eq!(other.rows().len(), baseline.rows().len());
                 for ((k1, v1), (k2, v2)) in other.rows().iter().zip(baseline.rows()) {
@@ -563,15 +468,14 @@ mod tests {
         }
     }
 
-    /// Kernels on vs off must be bit-identical on both the dense and the
-    /// encoded executor, and the trace must show the kernels actually
-    /// fired (predicate chunks and, for the scalar queries, fold chunks).
+    /// Kernels on vs off must be bit-identical, and the trace must show
+    /// the kernels actually fired (predicate chunks and, for the scalar
+    /// queries, fold chunks).
     #[test]
     fn kernel_execution_is_bit_identical_to_decode() {
         use crate::{ExecOptions, ExecTrace};
         let rows = 40_000;
         let r = chunked_rel(rows);
-        let enc = relation::EncodedRelation::encode(&r);
         let mut scalar_queries = chunked_queries(rows);
         // Bare-column scalar aggregates: the decode-free fold path proper.
         scalar_queries.push(GroupByQuery::new(
@@ -608,16 +512,12 @@ mod tests {
                 trace: Some(&trace),
                 ..ExecOptions::default()
             };
-            let dense_kernels = execute_exact_opts(&r, q, &on).unwrap();
-            let enc_off = execute_exact_encoded(&enc, q, &off).unwrap();
-            let enc_on = execute_exact_encoded(&enc, q, &on).unwrap();
-            for other in [&dense_kernels, &enc_off, &enc_on] {
-                assert_eq!(other.rows().len(), baseline.rows().len());
-                for ((k1, v1), (k2, v2)) in other.rows().iter().zip(baseline.rows()) {
-                    assert_eq!(k1, k2);
-                    for (x, y) in v1.iter().zip(v2) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "key {k1}");
-                    }
+            let kernels = execute_exact_opts(&r, q, &on).unwrap();
+            assert_eq!(kernels.rows().len(), baseline.rows().len());
+            for ((k1, v1), (k2, v2)) in kernels.rows().iter().zip(baseline.rows()) {
+                assert_eq!(k1, k2);
+                for (x, y) in v1.iter().zip(v2) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "key {k1}");
                 }
             }
             kernel_pred += trace.kernel_pred_chunks();

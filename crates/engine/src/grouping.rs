@@ -85,18 +85,6 @@ impl GroupIndex {
         Self::build_in_ranges(rel, cols, mask, ranges.ranges())
     }
 
-    /// The single-group (`T = ∅`, no-group-by) index over `n` rows — needs
-    /// only the row count, so the encoded executor can build it without a
-    /// dense relation. `mask` must be false outside `ranges`; identical to
-    /// [`Self::build_filtered`] with empty grouping columns.
-    pub fn build_empty_grouping(
-        n: usize,
-        mask: Option<&Bitmap>,
-        ranges: &RowRangeList,
-    ) -> GroupIndex {
-        Self::empty_in_ranges(n, mask, ranges.ranges())
-    }
-
     fn empty_in_ranges(n: usize, mask: Option<&Bitmap>, ranges: &[(usize, usize)]) -> GroupIndex {
         let live = |r: usize| mask.is_none_or(|m| m.get(r));
         let mut group_of_row = vec![u32::MAX; n];
@@ -717,9 +705,9 @@ mod tests {
         for gid in 0..full.group_count() as u32 {
             assert_eq!(ranged.first_row(gid), full.first_row(gid));
         }
-        // Empty grouping without a backing relation.
+        // Empty grouping.
         let e_full = GroupIndex::build_filtered(&r, &[], Some(&mask));
-        let e = GroupIndex::build_empty_grouping(r.row_count(), Some(&mask), &ranges);
+        let e = GroupIndex::build_filtered_ranges(&r, &[], Some(&mask), &ranges);
         assert_eq!(e.group_ids(), e_full.group_ids());
         assert_eq!(e.first_row(0), e_full.first_row(0));
     }

@@ -40,9 +40,7 @@ pub use cache::{
 };
 pub use cancel::CancelToken;
 pub use error::{EngineError, Result};
-pub use exec::{
-    execute_exact, execute_exact_cancellable, execute_exact_encoded, execute_exact_opts,
-};
+pub use exec::{execute_exact, execute_exact_cancellable, execute_exact_opts};
 pub use grouping::GroupIndex;
 pub use plan_cache::{CachedPlan, PlanCache, PlanCacheStats, SqlCache, SqlCacheStats};
 pub use query::{GroupByQuery, Having};

@@ -116,17 +116,10 @@ pub(crate) fn eval_predicate(
     opts: &ExecOptions,
 ) -> (Bitmap, relation::RowRangeList) {
     if opts.pruning {
-        let (mask, ranges, stats) = if opts.kernels {
-            let mut kstats = relation::KernelStats::default();
-            let out = pred.eval_pruned_kernels(rel, &mut kstats);
-            if let Some(trace) = opts.trace {
-                trace.record_kernels(&kstats);
-            }
-            out
-        } else {
-            pred.eval_pruned(rel)
-        };
+        let mut kstats = relation::KernelStats::default();
+        let (mask, ranges, stats) = pred.eval_pruned(rel, opts.kernels.then_some(&mut kstats));
         if let Some(trace) = opts.trace {
+            trace.record_kernels(&kstats);
             trace.record_chunks(stats.chunks - stats.pruned, stats.pruned);
             trace.record_selected(mask.count_ones() as u64);
         }

@@ -970,23 +970,6 @@ pub struct DecodeScratch {
     pub u64s: Vec<u64>,
 }
 
-/// Pass a relation through the chunked encoder and back when the
-/// `CONGRESS_CHUNKED_STORAGE` environment variable is set to `1`;
-/// otherwise return it unchanged. Test fixtures call this on their base
-/// relations so CI's encoded-vs-dense leg can force entire equivalence
-/// suites through chunked storage without touching each test. The
-/// roundtrip is exact (see the chunk property tests), so enabling it must
-/// never change any asserted result.
-pub fn maybe_chunked_storage(rel: Relation) -> Relation {
-    if std::env::var_os("CONGRESS_CHUNKED_STORAGE").is_some_and(|v| v == "1") {
-        EncodedRelation::encode(&rel)
-            .to_relation()
-            .expect("chunked storage roundtrip is exact")
-    } else {
-        rel
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Encoded relations
 // ---------------------------------------------------------------------------

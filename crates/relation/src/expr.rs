@@ -11,10 +11,9 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::bitmap::Bitmap;
-use crate::chunk::{chunk_range, DecodeScratch, EncodedRelation};
 use crate::error::{RelationError, Result};
 use crate::relation::Relation;
-use crate::schema::{ColumnId, Schema};
+use crate::schema::ColumnId;
 
 /// Binary arithmetic operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -200,15 +199,9 @@ impl Expr {
 
     /// Check that every referenced column exists and is numeric.
     pub fn validate(&self, rel: &Relation) -> Result<()> {
-        self.validate_schema(rel.schema())
-    }
-
-    /// [`Expr::validate`] against a bare schema (the check is schema-only;
-    /// the encoded execution path has no dense relation to hand).
-    pub fn validate_schema(&self, schema: &Schema) -> Result<()> {
         match self {
             Expr::Column(id) => {
-                let field = schema.field(*id)?;
+                let field = rel.schema().field(*id)?;
                 if !field.data_type.is_numeric() {
                     return Err(RelationError::InvalidOperandType {
                         context: "arithmetic expression",
@@ -219,67 +212,8 @@ impl Expr {
             }
             Expr::Literal(_) => Ok(()),
             Expr::Binary { lhs, rhs, .. } => {
-                lhs.validate_schema(schema)?;
-                rhs.validate_schema(schema)
-            }
-        }
-    }
-
-    /// [`Expr::eval_masked`] over an [`EncodedRelation`]: column chunks are
-    /// decoded on demand into `scratch`, and chunks with no selected rows
-    /// are never decoded at all. Selected slots hold values bit-identical
-    /// to the dense masked evaluation (the decode applies exactly the
-    /// `value_f64` casts); unselected slots stay `0.0`.
-    pub fn eval_masked_encoded(
-        &self,
-        enc: &EncodedRelation,
-        mask: &Bitmap,
-        scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f64>> {
-        self.validate_schema(enc.schema())?;
-        debug_assert_eq!(mask.len(), enc.row_count());
-        Ok(self.eval_masked_encoded_validated(enc, mask, scratch))
-    }
-
-    fn eval_masked_encoded_validated(
-        &self,
-        enc: &EncodedRelation,
-        mask: &Bitmap,
-        scratch: &mut DecodeScratch,
-    ) -> Vec<f64> {
-        let n = enc.row_count();
-        match self {
-            Expr::Column(id) => {
-                let col = enc.column(*id);
-                let mut out = vec![0.0; n];
-                for c in 0..enc.chunk_count() {
-                    let (start, end) = chunk_range(c, n);
-                    if mask.ones_range(start, end).next().is_none() {
-                        continue;
-                    }
-                    scratch.f64s.clear();
-                    col.decode_chunk_f64(c, &mut scratch.f64s);
-                    let vals = &scratch.f64s;
-                    for r in mask.ones_range(start, end) {
-                        out[r] = vals[r - start];
-                    }
-                }
-                out
-            }
-            Expr::Literal(v) => {
-                let mut out = vec![0.0; n];
-                for r in mask.ones() {
-                    out[r] = *v;
-                }
-                out
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let mut a = lhs.eval_masked_encoded_validated(enc, mask, scratch);
-                let b = rhs.eval_masked_encoded_validated(enc, mask, scratch);
-                for r in mask.ones() {
-                    a[r] = op.apply(a[r], b[r]);
-                }
-                a
+                lhs.validate(rel)?;
+                rhs.validate(rel)
             }
         }
     }
@@ -429,61 +363,5 @@ mod tests {
     fn display_is_parenthesized() {
         let e = Expr::col(ColumnId(0)).mul(Expr::lit(2.0));
         assert_eq!(e.to_string(), "(#0 * 2)");
-    }
-
-    #[test]
-    fn masked_encoded_eval_is_bitwise_equal_to_dense() {
-        use crate::bitmap::Bitmap;
-        use crate::chunk::{DecodeScratch, EncodedRelation, CHUNK_ROWS};
-        let rows = CHUNK_ROWS + 300;
-        let mut b = RelationBuilder::new()
-            .column("i", DataType::Int)
-            .column("f", DataType::Float)
-            .column("d", DataType::Date);
-        for r in 0..rows {
-            let f = if r % 503 == 0 {
-                f64::NAN
-            } else {
-                (r as f64) * 0.37 - 9.0
-            };
-            b.push_row(&[
-                Value::Int(r as i64 * 7 - 3),
-                Value::from(f),
-                Value::Date(r as i32),
-            ])
-            .unwrap();
-        }
-        let r = b.finish();
-        let enc = EncodedRelation::encode(&r);
-        let mut scratch = DecodeScratch::default();
-        let exprs = [
-            Expr::col(ColumnId(0)),
-            Expr::col(ColumnId(1))
-                .mul(Expr::lit(1.0).sub(Expr::col(ColumnId(0))))
-                .add(Expr::col(ColumnId(2)).div(Expr::lit(3.0))),
-        ];
-        let masks = [
-            Bitmap::from_fn(rows, |i| i % 3 == 0),
-            // Second chunk entirely unselected: it must not be decoded, and
-            // its slots must stay 0.0.
-            Bitmap::from_fn(rows, |i| i < CHUNK_ROWS && i % 2 == 1),
-            Bitmap::new_false(rows),
-            Bitmap::new_true(rows),
-        ];
-        for e in &exprs {
-            for mask in &masks {
-                let dense = e.eval_masked(&r, mask).unwrap();
-                let encoded = e.eval_masked_encoded(&enc, mask, &mut scratch).unwrap();
-                assert_eq!(dense.len(), encoded.len());
-                for (i, (a, b)) in dense.iter().zip(encoded.iter()).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "row {i} differs for {e}");
-                }
-            }
-        }
-        // Validation carries over to the encoded path.
-        let bad = Expr::col(ColumnId(9));
-        assert!(bad
-            .eval_masked_encoded(&enc, &masks[0], &mut scratch)
-            .is_err());
     }
 }

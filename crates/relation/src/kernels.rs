@@ -25,7 +25,6 @@
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::sync::OnceLock;
 
 use crate::bitmap::Bitmap;
 use crate::chunk::{ChunkStats, DecodeScratch, EncodedChunk, EncodedColumn, PackedInts};
@@ -36,17 +35,6 @@ use crate::value::Value;
 // ---------------------------------------------------------------------------
 // Configuration and counters
 // ---------------------------------------------------------------------------
-
-/// Whether decode-free scan kernels are enabled for this process.
-///
-/// Controlled by the `CONGRESS_SCAN_KERNELS` environment variable: kernels
-/// are **on by default** and disabled only when the variable is set to `0`.
-/// The value is read once and cached, matching how the equivalence CI legs
-/// force the kernels on and off for whole test-suite runs.
-pub fn scan_kernels_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var_os("CONGRESS_SCAN_KERNELS").is_none_or(|v| v != "0"))
-}
 
 /// Counters for decode-free kernel activity during one scan.
 ///

@@ -58,7 +58,7 @@ pub use dates::{civil_from_days, days_from_civil, parse_date};
 pub use error::{RelationError, Result};
 pub use expr::Expr;
 pub use group_key::GroupKey;
-pub use kernels::{scan_kernels_enabled, with_scratch, ChunkFold, KernelStats};
+pub use kernels::{with_scratch, ChunkFold, KernelStats};
 pub use predicate::Predicate;
 pub use relation::{Relation, RelationBuilder};
 pub use schema::{ColumnId, Field, Schema};

@@ -11,15 +11,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::bitmap::Bitmap;
 use crate::chunk::{
-    chunk_count, chunk_range, ChunkStats, ChunkVerdict, DecodeScratch, EncodedColumn,
-    EncodedRelation, PruneStats, RowRangeList, ZoneMaps,
+    chunk_count, chunk_range, ChunkStats, ChunkVerdict, EncodedColumn, EncodedRelation, PruneStats,
+    RowRangeList, ZoneMaps,
 };
 use crate::column::Column;
-use crate::datatype::DataType;
 use crate::error::Result;
 use crate::kernels::{self, KernelStats};
 use crate::relation::Relation;
-use crate::schema::{ColumnId, Schema};
+use crate::schema::ColumnId;
 use crate::value::Value;
 
 /// Comparison operator for scalar predicates.
@@ -174,40 +173,12 @@ impl Predicate {
 
     /// Evaluate over the whole relation into a packed selection bitmap.
     ///
-    /// Single-column comparisons take a vectorized fast path over the raw
-    /// column storage; boolean combinators combine child bitmaps word-wise.
+    /// The reference scan: one span over `[0, rows)` with no zone maps and
+    /// no code-domain kernels. Single-column comparisons run vectorized
+    /// over the raw column storage; boolean combinators combine child
+    /// bitmaps word-wise.
     pub fn eval(&self, rel: &Relation) -> Bitmap {
-        match self {
-            Predicate::True => Bitmap::new_true(rel.row_count()),
-            Predicate::Cmp { col, op, value } => eval_cmp_vectorized(rel.column(*col), *op, value)
-                .unwrap_or_else(|| Bitmap::from_fn(rel.row_count(), |r| self.eval_row(rel, r))),
-            Predicate::Between { col, lo, hi } => {
-                let a = eval_cmp_vectorized(rel.column(*col), CmpOp::Ge, lo);
-                let b = eval_cmp_vectorized(rel.column(*col), CmpOp::Le, hi);
-                match (a, b) {
-                    (Some(mut a), Some(b)) => {
-                        a.and_assign(&b);
-                        a
-                    }
-                    _ => Bitmap::from_fn(rel.row_count(), |r| self.eval_row(rel, r)),
-                }
-            }
-            Predicate::And(a, b) => {
-                let mut m = a.eval(rel);
-                m.and_assign(&b.eval(rel));
-                m
-            }
-            Predicate::Or(a, b) => {
-                let mut m = a.eval(rel);
-                m.or_assign(&b.eval(rel));
-                m
-            }
-            Predicate::Not(a) => {
-                let mut m = a.eval(rel);
-                m.not_assign();
-                m
-            }
-        }
+        self.eval_span(rel, 0, rel.row_count(), None)
     }
 
     /// Row indices satisfying the predicate.
@@ -258,23 +229,16 @@ impl Predicate {
 
     /// Validate that every referenced column exists in the schema.
     pub fn validate(&self, rel: &Relation) -> Result<()> {
-        self.validate_schema(rel.schema())
-    }
-
-    /// [`Predicate::validate`] against a bare schema (no relation needed —
-    /// the check is schema-only, and the encoded execution path has no
-    /// dense relation to hand).
-    pub fn validate_schema(&self, schema: &Schema) -> Result<()> {
         match self {
             Predicate::True => Ok(()),
             Predicate::Cmp { col, .. } | Predicate::Between { col, .. } => {
-                schema.field(*col).map(|_| ())
+                rel.schema().field(*col).map(|_| ())
             }
             Predicate::And(a, b) | Predicate::Or(a, b) => {
-                a.validate_schema(schema)?;
-                b.validate_schema(schema)
+                a.validate(rel)?;
+                b.validate(rel)
             }
-            Predicate::Not(a) => a.validate_schema(schema),
+            Predicate::Not(a) => a.validate(rel),
         }
     }
 
@@ -303,62 +267,98 @@ impl Predicate {
     /// Evaluate with zone-map pruning: chunks whose verdict is
     /// [`ChunkVerdict::NoneMatch`] are skipped without touching a row,
     /// all-match chunks fill their mask span word-wise, and only `Maybe`
-    /// chunks run the row-level kernels. The returned bitmap is
-    /// bit-identical to [`Predicate::eval`]; the [`RowRangeList`] covers
-    /// every chunk that contributed at least one set bit (so downstream
-    /// consumers can iterate surviving spans only); [`PruneStats`] feeds
-    /// observability counters.
-    pub fn eval_pruned(&self, rel: &Relation) -> (Bitmap, RowRangeList, PruneStats) {
-        let rows = rel.row_count();
-        if matches!(self, Predicate::True) || rows == 0 {
-            return trivial_scan(rows);
-        }
-        let zm = rel.zone_maps().clone();
-        pruned_scan(
-            rows,
-            |c| self.chunk_verdict(&zm, c),
-            |_c, start, end| self.eval_chunk(rel, start, end),
-        )
-    }
-
-    /// [`Predicate::eval_pruned`] with decode-free kernels: `Maybe` chunks
-    /// answer comparison leaves in the code domain of the relation's
-    /// encoded twin ([`Relation::encoded`]) instead of scanning the dense
-    /// column, falling back to the dense kernels only where no code-domain
-    /// strategy applies (plain-int fallback chunks). The mask, ranges, and
-    /// prune stats are bit-identical to [`Predicate::eval_pruned`];
-    /// `kstats` counts the chunks whose decode was avoided.
-    pub fn eval_pruned_kernels(
+    /// chunks run the row-level scan. With `kernels` set, `Maybe` chunks
+    /// first try the decode-free kernels over the relation's encoded twin
+    /// ([`Relation::encoded`]), falling back to the dense column only where
+    /// no code-domain strategy applies (plain-int fallback chunks), and the
+    /// stats count the chunks whose decode was avoided.
+    ///
+    /// The returned bitmap is bit-identical to [`Predicate::eval`] either
+    /// way; the [`RowRangeList`] covers every chunk that contributed at
+    /// least one set bit (so downstream consumers can iterate surviving
+    /// spans only); [`PruneStats`] feeds observability counters.
+    pub fn eval_pruned(
         &self,
         rel: &Relation,
-        kstats: &mut KernelStats,
+        kernels: Option<&mut KernelStats>,
     ) -> (Bitmap, RowRangeList, PruneStats) {
         let rows = rel.row_count();
         if matches!(self, Predicate::True) || rows == 0 {
-            return trivial_scan(rows);
+            return (
+                Bitmap::new_true(rows),
+                RowRangeList::full(rows),
+                PruneStats::default(),
+            );
         }
         let zm = rel.zone_maps().clone();
-        let enc = rel.encoded().clone();
-        pruned_scan(
-            rows,
-            |c| self.chunk_verdict(&zm, c),
-            |c, start, end| self.eval_chunk_kernels(rel, &enc, c, start, end, kstats),
-        )
+        let mut kernels = kernels.map(|stats| (rel.encoded().clone(), stats));
+        let nchunks = chunk_count(rows);
+        let mut mask = Bitmap::new_false(rows);
+        let mut ranges = RowRangeList::new();
+        let mut stats = PruneStats {
+            chunks: nchunks as u64,
+            ..PruneStats::default()
+        };
+        for c in 0..nchunks {
+            let (start, end) = chunk_range(c, rows);
+            match self.chunk_verdict(&zm, c) {
+                ChunkVerdict::NoneMatch => stats.pruned += 1,
+                ChunkVerdict::AllMatch => {
+                    stats.full += 1;
+                    mask.fill_range(start, end);
+                    ranges.push(start, end);
+                }
+                ChunkVerdict::Maybe => {
+                    let mut k = kernels.as_mut().map(|(enc, stats)| SpanKernels {
+                        enc,
+                        chunk: c,
+                        stats,
+                    });
+                    let chunk_mask = self.eval_span(rel, start, end, k.as_mut());
+                    if chunk_mask.any() {
+                        mask.splice_aligned(start, &chunk_mask);
+                        ranges.push(start, end);
+                    }
+                }
+            }
+        }
+        (mask, ranges, stats)
     }
 
-    /// Evaluate over the row span `[start, end)` into a chunk-local bitmap
-    /// (bit `i` is row `start + i`). Kernels are the same as
-    /// [`Predicate::eval`]'s, restricted to the span, so splicing the
-    /// results of every chunk reproduces `eval` exactly.
-    pub fn eval_chunk(&self, rel: &Relation, start: usize, end: usize) -> Bitmap {
-        let n = end - start;
+    /// The one span walk behind every scan: evaluate over rows
+    /// `[start, end)` into a span-local bitmap (bit `i` is row `start + i`).
+    /// Each comparison leaf tries the code-domain kernel of the span's
+    /// chunk (when `kctx` is set), then the vectorized comparison over
+    /// the dense column, then [`Predicate::eval_row`] (reached only by
+    /// type-incompatible literals, which it answers all-false).
+    fn eval_span(
+        &self,
+        rel: &Relation,
+        start: usize,
+        end: usize,
+        mut kctx: Option<&mut SpanKernels<'_>>,
+    ) -> Bitmap {
+        let rows = || Bitmap::from_fn(end - start, |r| self.eval_row(rel, start + r));
         match self {
-            Predicate::True => Bitmap::new_true(n),
+            Predicate::True => Bitmap::new_true(end - start),
             Predicate::Cmp { col, op, value } => {
-                eval_cmp_range(rel.column(*col), *op, value, start, end)
-                    .unwrap_or_else(|| Bitmap::from_fn(n, |r| self.eval_row(rel, start + r)))
+                if let Some(k) = kctx {
+                    if let Some(m) =
+                        kernels::eval_cmp_chunk(k.enc.column(*col), *op, value, k.chunk)
+                    {
+                        k.stats.pred_chunks += 1;
+                        return m;
+                    }
+                }
+                eval_cmp_range(rel.column(*col), *op, value, start, end).unwrap_or_else(rows)
             }
             Predicate::Between { col, lo, hi } => {
+                if let Some(k) = kctx {
+                    let col = k.enc.column(*col);
+                    if let Some(m) = between_chunk_kernels(col, lo, hi, k.chunk, k.stats) {
+                        return m;
+                    }
+                }
                 let a = eval_cmp_range(rel.column(*col), CmpOp::Ge, lo, start, end);
                 let b = eval_cmp_range(rel.column(*col), CmpOp::Le, hi, start, end);
                 match (a, b) {
@@ -366,227 +366,21 @@ impl Predicate {
                         a.and_assign(&b);
                         a
                     }
-                    _ => Bitmap::from_fn(n, |r| self.eval_row(rel, start + r)),
+                    _ => rows(),
                 }
             }
             Predicate::And(a, b) => {
-                let mut m = a.eval_chunk(rel, start, end);
-                m.and_assign(&b.eval_chunk(rel, start, end));
+                let mut m = a.eval_span(rel, start, end, kctx.as_deref_mut());
+                m.and_assign(&b.eval_span(rel, start, end, kctx));
                 m
             }
             Predicate::Or(a, b) => {
-                let mut m = a.eval_chunk(rel, start, end);
-                m.or_assign(&b.eval_chunk(rel, start, end));
+                let mut m = a.eval_span(rel, start, end, kctx.as_deref_mut());
+                m.or_assign(&b.eval_span(rel, start, end, kctx));
                 m
             }
             Predicate::Not(a) => {
-                let mut m = a.eval_chunk(rel, start, end);
-                m.not_assign();
-                m
-            }
-        }
-    }
-
-    /// [`Predicate::eval_pruned`] over an [`EncodedRelation`]: surviving
-    /// chunks are decoded on demand into `scratch` and evaluated with the
-    /// same kernels, so the result is bit-identical to evaluating the
-    /// decoded relation densely.
-    pub fn eval_encoded(
-        &self,
-        enc: &EncodedRelation,
-        scratch: &mut DecodeScratch,
-    ) -> (Bitmap, RowRangeList, PruneStats) {
-        let rows = enc.row_count();
-        if matches!(self, Predicate::True) || rows == 0 {
-            return trivial_scan(rows);
-        }
-        let zm = enc.zone_maps().clone();
-        pruned_scan(
-            rows,
-            |c| self.chunk_verdict(&zm, c),
-            |c, start, end| self.eval_chunk_encoded(enc, c, start, end, scratch),
-        )
-    }
-
-    /// [`Predicate::eval_encoded`] with decode-free kernels: `Maybe` chunks
-    /// answer comparison leaves straight over the packed chunk data,
-    /// decoding into `scratch` only where no code-domain strategy applies.
-    /// Bit-identical to [`Predicate::eval_encoded`]; `kstats` counts the
-    /// chunks whose decode was avoided.
-    pub fn eval_encoded_kernels(
-        &self,
-        enc: &EncodedRelation,
-        scratch: &mut DecodeScratch,
-        kstats: &mut KernelStats,
-    ) -> (Bitmap, RowRangeList, PruneStats) {
-        let rows = enc.row_count();
-        if matches!(self, Predicate::True) || rows == 0 {
-            return trivial_scan(rows);
-        }
-        let zm = enc.zone_maps().clone();
-        pruned_scan(
-            rows,
-            |c| self.chunk_verdict(&zm, c),
-            |c, start, end| self.eval_chunk_encoded_kernels(enc, c, start, end, scratch, kstats),
-        )
-    }
-
-    /// Evaluate over one encoded chunk (rows `[start, end)`, chunk index
-    /// `chunk`) into a chunk-local bitmap. Column data is decoded into
-    /// `scratch` per leaf; a type-incompatible comparison yields all-false,
-    /// exactly as the dense fallback does.
-    fn eval_chunk_encoded(
-        &self,
-        enc: &EncodedRelation,
-        chunk: usize,
-        start: usize,
-        end: usize,
-        scratch: &mut DecodeScratch,
-    ) -> Bitmap {
-        let n = end - start;
-        match self {
-            Predicate::True => Bitmap::new_true(n),
-            Predicate::Cmp { col, op, value } => {
-                eval_cmp_encoded(enc.column(*col), *op, value, chunk, n, scratch)
-            }
-            Predicate::Between { col, lo, hi } => {
-                let mut a = eval_cmp_encoded(enc.column(*col), CmpOp::Ge, lo, chunk, n, scratch);
-                let b = eval_cmp_encoded(enc.column(*col), CmpOp::Le, hi, chunk, n, scratch);
-                // A half-incompatible BETWEEN is all-false on the dense
-                // fallback path; AND with the incompatible side's all-false
-                // bitmap reproduces that.
-                a.and_assign(&b);
-                a
-            }
-            Predicate::And(a, b) => {
-                let mut m = a.eval_chunk_encoded(enc, chunk, start, end, scratch);
-                m.and_assign(&b.eval_chunk_encoded(enc, chunk, start, end, scratch));
-                m
-            }
-            Predicate::Or(a, b) => {
-                let mut m = a.eval_chunk_encoded(enc, chunk, start, end, scratch);
-                m.or_assign(&b.eval_chunk_encoded(enc, chunk, start, end, scratch));
-                m
-            }
-            Predicate::Not(a) => {
-                let mut m = a.eval_chunk_encoded(enc, chunk, start, end, scratch);
-                m.not_assign();
-                m
-            }
-        }
-    }
-
-    /// One `Maybe` chunk on the dense path with kernels enabled: comparison
-    /// leaves go through the code-domain kernels over the encoded twin;
-    /// only plain-int fallback chunks (and fully type-incompatible shapes)
-    /// touch the dense column. Bit-identical to [`Predicate::eval_chunk`].
-    fn eval_chunk_kernels(
-        &self,
-        rel: &Relation,
-        enc: &EncodedRelation,
-        chunk: usize,
-        start: usize,
-        end: usize,
-        kstats: &mut KernelStats,
-    ) -> Bitmap {
-        let n = end - start;
-        match self {
-            Predicate::True => Bitmap::new_true(n),
-            Predicate::Cmp { col, op, value } => {
-                match kernels::eval_cmp_chunk(enc.column(*col), *op, value, chunk) {
-                    Some(m) => {
-                        kstats.pred_chunks += 1;
-                        m
-                    }
-                    None => eval_cmp_range(rel.column(*col), *op, value, start, end)
-                        .unwrap_or_else(|| Bitmap::from_fn(n, |r| self.eval_row(rel, start + r))),
-                }
-            }
-            Predicate::Between { col, lo, hi } => {
-                match between_chunk_kernels(enc.column(*col), lo, hi, chunk, kstats) {
-                    Some(m) => m,
-                    None => {
-                        let a = eval_cmp_range(rel.column(*col), CmpOp::Ge, lo, start, end);
-                        let b = eval_cmp_range(rel.column(*col), CmpOp::Le, hi, start, end);
-                        match (a, b) {
-                            (Some(mut a), Some(b)) => {
-                                a.and_assign(&b);
-                                a
-                            }
-                            _ => Bitmap::from_fn(n, |r| self.eval_row(rel, start + r)),
-                        }
-                    }
-                }
-            }
-            Predicate::And(a, b) => {
-                let mut m = a.eval_chunk_kernels(rel, enc, chunk, start, end, kstats);
-                m.and_assign(&b.eval_chunk_kernels(rel, enc, chunk, start, end, kstats));
-                m
-            }
-            Predicate::Or(a, b) => {
-                let mut m = a.eval_chunk_kernels(rel, enc, chunk, start, end, kstats);
-                m.or_assign(&b.eval_chunk_kernels(rel, enc, chunk, start, end, kstats));
-                m
-            }
-            Predicate::Not(a) => {
-                let mut m = a.eval_chunk_kernels(rel, enc, chunk, start, end, kstats);
-                m.not_assign();
-                m
-            }
-        }
-    }
-
-    /// One `Maybe` chunk on the encoded path with kernels enabled.
-    /// Bit-identical to [`Predicate::eval_chunk_encoded`]; `scratch` is
-    /// only touched by the decode fallbacks.
-    fn eval_chunk_encoded_kernels(
-        &self,
-        enc: &EncodedRelation,
-        chunk: usize,
-        start: usize,
-        end: usize,
-        scratch: &mut DecodeScratch,
-        kstats: &mut KernelStats,
-    ) -> Bitmap {
-        let n = end - start;
-        match self {
-            Predicate::True => Bitmap::new_true(n),
-            Predicate::Cmp { col, op, value } => {
-                match kernels::eval_cmp_chunk(enc.column(*col), *op, value, chunk) {
-                    Some(m) => {
-                        kstats.pred_chunks += 1;
-                        m
-                    }
-                    None => eval_cmp_encoded(enc.column(*col), *op, value, chunk, n, scratch),
-                }
-            }
-            Predicate::Between { col, lo, hi } => {
-                match between_chunk_kernels(enc.column(*col), lo, hi, chunk, kstats) {
-                    Some(m) => m,
-                    None => {
-                        let mut a =
-                            eval_cmp_encoded(enc.column(*col), CmpOp::Ge, lo, chunk, n, scratch);
-                        let b =
-                            eval_cmp_encoded(enc.column(*col), CmpOp::Le, hi, chunk, n, scratch);
-                        a.and_assign(&b);
-                        a
-                    }
-                }
-            }
-            Predicate::And(a, b) => {
-                let mut m = a.eval_chunk_encoded_kernels(enc, chunk, start, end, scratch, kstats);
-                m.and_assign(
-                    &b.eval_chunk_encoded_kernels(enc, chunk, start, end, scratch, kstats),
-                );
-                m
-            }
-            Predicate::Or(a, b) => {
-                let mut m = a.eval_chunk_encoded_kernels(enc, chunk, start, end, scratch, kstats);
-                m.or_assign(&b.eval_chunk_encoded_kernels(enc, chunk, start, end, scratch, kstats));
-                m
-            }
-            Predicate::Not(a) => {
-                let mut m = a.eval_chunk_encoded_kernels(enc, chunk, start, end, scratch, kstats);
+                let mut m = a.eval_span(rel, start, end, kctx);
                 m.not_assign();
                 m
             }
@@ -594,51 +388,12 @@ impl Predicate {
     }
 }
 
-/// The trivial scan result for `True` predicates and empty relations.
-fn trivial_scan(rows: usize) -> (Bitmap, RowRangeList, PruneStats) {
-    (
-        Bitmap::new_true(rows),
-        RowRangeList::full(rows),
-        PruneStats::default(),
-    )
-}
-
-/// Shared pruned-scan skeleton: walk every chunk, skip `NoneMatch`
-/// verdicts, fill `AllMatch` spans word-wise, and delegate `Maybe` chunks
-/// to `eval_maybe(chunk, start, end)`. All four pruned entry points
-/// (dense/encoded × decode/kernels) share this loop, so their masks,
-/// ranges, and stats agree by construction.
-fn pruned_scan(
-    rows: usize,
-    mut verdict: impl FnMut(usize) -> ChunkVerdict,
-    mut eval_maybe: impl FnMut(usize, usize, usize) -> Bitmap,
-) -> (Bitmap, RowRangeList, PruneStats) {
-    let nchunks = chunk_count(rows);
-    let mut mask = Bitmap::new_false(rows);
-    let mut ranges = RowRangeList::new();
-    let mut stats = PruneStats {
-        chunks: nchunks as u64,
-        ..PruneStats::default()
-    };
-    for c in 0..nchunks {
-        let (start, end) = chunk_range(c, rows);
-        match verdict(c) {
-            ChunkVerdict::NoneMatch => stats.pruned += 1,
-            ChunkVerdict::AllMatch => {
-                stats.full += 1;
-                mask.fill_range(start, end);
-                ranges.push(start, end);
-            }
-            ChunkVerdict::Maybe => {
-                let chunk_mask = eval_maybe(c, start, end);
-                if chunk_mask.any() {
-                    mask.splice_aligned(start, &chunk_mask);
-                    ranges.push(start, end);
-                }
-            }
-        }
-    }
-    (mask, ranges, stats)
+/// The kernel context of one chunk-aligned span: the relation's encoded
+/// twin, the chunk the span covers, and the decode-avoided counters.
+struct SpanKernels<'a> {
+    enc: &'a EncodedRelation,
+    chunk: usize,
+    stats: &'a mut KernelStats,
 }
 
 /// BETWEEN over one chunk via the kernels: the fused interval kernel where
@@ -760,65 +515,11 @@ fn cmp_values(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
     }
 }
 
-/// Vectorized comparison over raw column storage, packed straight into a
-/// [`Bitmap`]. Returns `None` when the literal's type is incompatible with
-/// the column (the caller falls back to the row-at-a-time path, which
-/// yields all-false for such predicates).
-fn eval_cmp_vectorized(col: &Column, op: CmpOp, value: &Value) -> Option<Bitmap> {
-    match (col, value) {
-        (Column::Int(v), _) => {
-            let lit = value.as_f64()?;
-            Some(Bitmap::from_fn(v.len(), |r| {
-                op.apply((v[r] as f64).total_cmp(&lit))
-            }))
-        }
-        (Column::Float(v), _) => {
-            let lit = value.as_f64()?;
-            Some(Bitmap::from_fn(v.len(), |r| op.apply(v[r].total_cmp(&lit))))
-        }
-        (Column::Date(v), _) => {
-            let lit = value.as_f64()?;
-            Some(Bitmap::from_fn(v.len(), |r| {
-                op.apply((v[r] as f64).total_cmp(&lit))
-            }))
-        }
-        (Column::Str(v), Value::Str(s)) => {
-            // Equality on dictionary columns compares codes.
-            match op {
-                CmpOp::Eq => Some(match v.lookup(s) {
-                    Some(c) => {
-                        let codes = v.codes();
-                        Bitmap::from_fn(v.len(), |r| codes[r] == c)
-                    }
-                    None => Bitmap::new_false(v.len()),
-                }),
-                CmpOp::Ne => Some(match v.lookup(s) {
-                    Some(c) => {
-                        let codes = v.codes();
-                        Bitmap::from_fn(v.len(), |r| codes[r] != c)
-                    }
-                    None => Bitmap::new_true(v.len()),
-                }),
-                // Order comparisons run in the dictionary domain: one
-                // string comparison per *distinct* value, then a table
-                // lookup per row via the code vector.
-                _ => {
-                    let lut: Vec<bool> = v
-                        .dict()
-                        .iter()
-                        .map(|d| op.apply(d.as_ref().cmp(s)))
-                        .collect();
-                    Some(Bitmap::from_lut(v.codes(), &lut))
-                }
-            }
-        }
-        (Column::Str(_), _) => None,
-    }
-}
-
-/// [`eval_cmp_vectorized`] restricted to rows `[start, end)`, producing a
-/// chunk-local bitmap. The per-row comparisons are identical; only the
-/// iteration span changes.
+/// Vectorized comparison over rows `[start, end)` of the raw column
+/// storage, packed straight into a span-local [`Bitmap`]. Returns `None`
+/// when the literal's type is incompatible with the column (the caller
+/// falls back to the row-at-a-time path, which yields all-false for such
+/// predicates).
 fn eval_cmp_range(
     col: &Column,
     op: CmpOp,
@@ -869,63 +570,6 @@ fn eval_cmp_range(
             }
         }
         (Column::Str(_), _) => None,
-    }
-}
-
-/// One chunk of `col <op> value` over an encoded column: decode into
-/// `scratch`, then run the same comparison kernel the dense path uses. A
-/// type-incompatible literal yields an all-false chunk (the dense
-/// fallback's outcome for such predicates).
-fn eval_cmp_encoded(
-    col: &EncodedColumn,
-    op: CmpOp,
-    value: &Value,
-    chunk: usize,
-    n: usize,
-    scratch: &mut DecodeScratch,
-) -> Bitmap {
-    match col.data_type() {
-        DataType::Int | DataType::Float | DataType::Date => {
-            let Some(lit) = value.as_f64() else {
-                return Bitmap::new_false(n);
-            };
-            scratch.f64s.clear();
-            col.decode_chunk_f64(chunk, &mut scratch.f64s);
-            let v = &scratch.f64s;
-            Bitmap::from_fn(n, |r| op.apply(v[r].total_cmp(&lit)))
-        }
-        DataType::Str => {
-            let Value::Str(s) = value else {
-                return Bitmap::new_false(n);
-            };
-            scratch.u64s.clear();
-            col.decode_chunk_u64(chunk, &mut scratch.u64s);
-            let codes = &scratch.u64s;
-            match op {
-                CmpOp::Eq => match col.dict().iter().position(|d| d.as_ref() == s.as_ref()) {
-                    Some(c) => {
-                        let c = c as u64;
-                        Bitmap::from_fn(n, |r| codes[r] == c)
-                    }
-                    None => Bitmap::new_false(n),
-                },
-                CmpOp::Ne => match col.dict().iter().position(|d| d.as_ref() == s.as_ref()) {
-                    Some(c) => {
-                        let c = c as u64;
-                        Bitmap::from_fn(n, |r| codes[r] != c)
-                    }
-                    None => Bitmap::new_true(n),
-                },
-                _ => {
-                    let lut: Vec<bool> = col
-                        .dict()
-                        .iter()
-                        .map(|d| op.apply(d.as_ref().cmp(s)))
-                        .collect();
-                    Bitmap::from_fn(n, |r| lut[codes[r] as usize])
-                }
-            }
-        }
     }
 }
 
@@ -1177,9 +821,10 @@ mod tests {
     fn eval_pruned_is_bit_identical_to_eval() {
         let rows = 3 * crate::chunk::CHUNK_ROWS + 517;
         let r = big_rel(rows);
+        let mut total = KernelStats::default();
         for p in pruning_preds(rows) {
             let dense = p.eval(&r);
-            let (pruned, ranges, stats) = p.eval_pruned(&r);
+            let (pruned, ranges, stats) = p.eval_pruned(&r, None);
             assert_eq!(pruned, dense, "mask mismatch for {p}");
             // Every set bit must fall inside a surviving range.
             for row in dense.ones() {
@@ -1189,67 +834,28 @@ mod tests {
             if !matches!(p, Predicate::True) {
                 assert_eq!(stats.chunks as usize, crate::chunk::chunk_count(rows));
             }
-        }
-        // The selective clustered predicate must actually prune.
-        let mid = (rows / 2) as i64;
-        let p = Predicate::between(ColumnId(0), mid, mid + 100);
-        let (_, _, stats) = p.eval_pruned(&r);
-        assert!(stats.pruned >= 2, "expected pruning, got {stats:?}");
-        // The all-match predicate must take the fill fast path.
-        let (_, _, stats) = Predicate::ge(ColumnId(0), 0i64).eval_pruned(&r);
-        assert_eq!(stats.full as usize, crate::chunk::chunk_count(rows));
-    }
-
-    #[test]
-    fn eval_encoded_is_bit_identical_to_eval() {
-        use crate::chunk::{DecodeScratch, EncodedRelation};
-        let rows = 2 * crate::chunk::CHUNK_ROWS + 129;
-        let r = big_rel(rows);
-        let enc = EncodedRelation::encode(&r);
-        let mut scratch = DecodeScratch::default();
-        for p in pruning_preds(rows) {
-            let dense = p.eval(&r);
-            let (encoded, _, _) = p.eval_encoded(&enc, &mut scratch);
-            assert_eq!(encoded, dense, "encoded mask mismatch for {p}");
-        }
-    }
-
-    #[test]
-    fn eval_pruned_kernels_is_bit_identical_to_eval() {
-        let rows = 3 * crate::chunk::CHUNK_ROWS + 517;
-        let r = big_rel(rows);
-        let mut total = KernelStats::default();
-        for p in pruning_preds(rows) {
-            let dense = p.eval(&r);
-            let decode = p.eval_pruned(&r);
+            // Kernels change how `Maybe` chunks are scanned, never the
+            // mask, the ranges, or the prune stats.
             let mut kstats = KernelStats::default();
-            let (mask, ranges, stats) = p.eval_pruned_kernels(&r, &mut kstats);
-            assert_eq!(mask, dense, "kernel mask mismatch for {p}");
-            assert_eq!(ranges, decode.1, "ranges mismatch for {p}");
-            assert_eq!(stats, decode.2, "prune stats mismatch for {p}");
+            let kernel = p.eval_pruned(&r, Some(&mut kstats));
+            assert_eq!(
+                kernel,
+                (pruned, ranges, stats),
+                "kernel scan mismatch for {p}"
+            );
             total.merge(&kstats);
         }
         // The kernels must actually fire on this workload (FOR ints, floats,
         // dictionary strings are all kernel-eligible shapes).
         assert!(total.pred_chunks > 0, "no kernel chunks fired: {total:?}");
-    }
-
-    #[test]
-    fn eval_encoded_kernels_is_bit_identical_to_eval() {
-        use crate::chunk::{DecodeScratch, EncodedRelation};
-        let rows = 2 * crate::chunk::CHUNK_ROWS + 129;
-        let r = big_rel(rows);
-        let enc = EncodedRelation::encode(&r);
-        let mut scratch = DecodeScratch::default();
-        let mut total = KernelStats::default();
-        for p in pruning_preds(rows) {
-            let dense = p.eval(&r);
-            let mut kstats = KernelStats::default();
-            let (mask, _, _) = p.eval_encoded_kernels(&enc, &mut scratch, &mut kstats);
-            assert_eq!(mask, dense, "encoded kernel mask mismatch for {p}");
-            total.merge(&kstats);
-        }
-        assert!(total.pred_chunks > 0, "no kernel chunks fired: {total:?}");
+        // The selective clustered predicate must actually prune.
+        let mid = (rows / 2) as i64;
+        let p = Predicate::between(ColumnId(0), mid, mid + 100);
+        let (_, _, stats) = p.eval_pruned(&r, None);
+        assert!(stats.pruned >= 2, "expected pruning, got {stats:?}");
+        // The all-match predicate must take the fill fast path.
+        let (_, _, stats) = Predicate::ge(ColumnId(0), 0i64).eval_pruned(&r, None);
+        assert_eq!(stats.full as usize, crate::chunk::chunk_count(rows));
     }
 
     #[test]
@@ -1274,7 +880,7 @@ mod tests {
         ] {
             let dense = p.eval(&r);
             let mut kstats = KernelStats::default();
-            let (mask, _, _) = p.eval_pruned_kernels(&r, &mut kstats);
+            let (mask, _, _) = p.eval_pruned(&r, Some(&mut kstats));
             assert_eq!(mask, dense, "fallback mask mismatch for {p}");
             assert_eq!(
                 kstats.pred_chunks, 0,

@@ -1,14 +1,14 @@
 //! Property tests over chunked encoded storage: encode/decode roundtrip
-//! identity, zone-map pruning soundness, and bitwise equivalence of the
-//! encoded expression path with the dense one.
+//! identity, zone-map pruning soundness, and bitwise equivalence of every
+//! scan (reference, pruned, pruned with code-domain kernels) with the
+//! row-at-a-time oracle.
 
 use proptest::prelude::*;
-use relation::chunk::{chunk_range, DecodeScratch, EncodedRelation};
+use relation::chunk::{chunk_range, EncodedRelation, CHUNK_ROWS};
 use relation::kernels::fold_chunk_encoded;
 use relation::predicate::CmpOp;
 use relation::{
-    binio, Bitmap, ColumnId, DataType, Expr, KernelStats, Predicate, Relation, RelationBuilder,
-    Value,
+    binio, ColumnId, DataType, KernelStats, Predicate, Relation, RelationBuilder, Value,
 };
 
 #[derive(Debug, Clone)]
@@ -46,14 +46,21 @@ fn row_strategy() -> impl Strategy<Value = Row> {
 }
 
 fn relation_of(rows: &[Row]) -> Relation {
+    tiled_relation_of(rows, rows.len(), |_, i| i)
+}
+
+/// `n` rows cycling through `rows`, with the int column of the row at
+/// position `g` mapped through `int_of(g, i)`.
+fn tiled_relation_of(rows: &[Row], n: usize, int_of: impl Fn(usize, i64) -> i64) -> Relation {
     let mut b = RelationBuilder::new()
         .column("i", DataType::Int)
         .column("f", DataType::Float)
         .column("s", DataType::Str)
         .column("d", DataType::Date);
-    for r in rows {
+    for g in 0..n {
+        let r = &rows[g % rows.len()];
         b.push_row(&[
-            Value::Int(r.i),
+            Value::Int(int_of(g, r.i)),
             Value::from(r.f),
             Value::str(r.s.as_str()),
             Value::Date(r.d),
@@ -248,7 +255,7 @@ proptest! {
     ) {
         let rel = relation_of(&rows);
         let dense = pred.eval(&rel);
-        let (mask, ranges, stats) = pred.eval_pruned(&rel);
+        let (mask, ranges, stats) = pred.eval_pruned(&rel, None);
         prop_assert_eq!(mask.to_bools(), dense.to_bools(), "pruned mask diverges for {}", &pred);
         for r in 0..rel.row_count() {
             if mask.get(r) {
@@ -267,19 +274,13 @@ proptest! {
                 }
             }
         }
-        // The encoded path agrees bit-for-bit too.
-        let enc = EncodedRelation::encode(&rel);
-        let mut scratch = DecodeScratch::default();
-        let (emask, _, _) = pred.eval_encoded(&enc, &mut scratch);
-        prop_assert_eq!(emask.to_bools(), dense.to_bools(), "encoded mask diverges for {}", &pred);
     }
 
     /// The code-domain kernel path is bitwise-equal to decode-then-compare
     /// for arbitrary (encoding, constant, op) triples: the mask, covered
-    /// ranges, and prune stats all match the decode path exactly, on both
-    /// the dense-relation and encoded-relation entry points. The literal
-    /// strategies deliberately include overflow and out-of-domain edges
-    /// where the transform must saturate or fall back to decode.
+    /// ranges, and prune stats all match the decode path exactly. The
+    /// literal strategies deliberately include overflow and out-of-domain
+    /// edges where the transform must saturate or fall back to decode.
     #[test]
     fn code_domain_kernels_match_decode(
         rows in proptest::collection::vec(row_strategy(), 1..80),
@@ -287,21 +288,13 @@ proptest! {
     ) {
         let rel = relation_of(&rows);
         let dense = pred.eval(&rel);
-        let (dmask, dranges, dstats) = pred.eval_pruned(&rel);
+        let (dmask, dranges, dstats) = pred.eval_pruned(&rel, None);
         let mut kstats = KernelStats::default();
-        let (kmask, kranges, kprune) = pred.eval_pruned_kernels(&rel, &mut kstats);
+        let (kmask, kranges, kprune) = pred.eval_pruned(&rel, Some(&mut kstats));
         prop_assert_eq!(kmask.to_bools(), dense.to_bools(), "kernel mask diverges for {}", &pred);
         prop_assert_eq!(dmask.to_bools(), kmask.to_bools());
         prop_assert_eq!(&kranges, &dranges, "kernel ranges diverge for {}", &pred);
         prop_assert_eq!(kprune, dstats, "kernel prune stats diverge for {}", &pred);
-
-        let enc = EncodedRelation::encode(&rel);
-        let mut scratch = DecodeScratch::default();
-        let mut ekstats = KernelStats::default();
-        let (emask, eranges, eprune) = pred.eval_encoded_kernels(&enc, &mut scratch, &mut ekstats);
-        prop_assert_eq!(emask.to_bools(), dense.to_bools(), "encoded kernel mask diverges for {}", &pred);
-        prop_assert_eq!(&eranges, &dranges);
-        prop_assert_eq!(eprune, dstats);
     }
 
     /// The encoded aggregate fold agrees bit-for-bit with the sequential
@@ -343,46 +336,11 @@ proptest! {
             }
         }
     }
-
-    /// `eval_masked` over encoded chunks is bitwise-equal to the dense
-    /// masked evaluation for arbitrary expressions and masks.
-    #[test]
-    fn eval_masked_encoded_matches_dense(
-        rows in proptest::collection::vec(row_strategy(), 1..80),
-        bits in proptest::collection::vec(0u8..2, 80..81),
-        scale in -3.0f64..3.0,
-    ) {
-        let rel = relation_of(&rows);
-        let n = rel.row_count();
-        let mask = Bitmap::from_fn(n, |r| bits[r] == 1);
-        let exprs = vec![
-            Expr::col(ColumnId(0)),
-            Expr::col(ColumnId(1)),
-            Expr::col(ColumnId(3)),
-            Expr::col(ColumnId(0)).add(Expr::col(ColumnId(1))),
-            Expr::col(ColumnId(1)).mul(Expr::lit(scale)),
-            Expr::col(ColumnId(1)).sub(Expr::col(ColumnId(3))).mul(Expr::col(ColumnId(0))),
-        ];
-        let enc = EncodedRelation::encode(&rel);
-        let mut scratch = DecodeScratch::default();
-        for e in exprs {
-            let dense = e.eval_masked(&rel, &mask).unwrap();
-            let encoded = e.eval_masked_encoded(&enc, &mask, &mut scratch).unwrap();
-            prop_assert_eq!(dense.len(), encoded.len());
-            for r in 0..n {
-                prop_assert_eq!(
-                    dense[r].to_bits(),
-                    encoded[r].to_bits(),
-                    "row {} of {:?}", r, &e
-                );
-            }
-        }
-    }
 }
 
 /// Multi-chunk coverage the small property cases cannot reach: a seeded
 /// pseudo-random relation spanning several 16Ki chunks, pushed through the
-/// same three invariants once.
+/// roundtrip and pruning invariants once.
 #[test]
 fn multi_chunk_invariants_hold() {
     use rand::rngs::StdRng;
@@ -420,17 +378,56 @@ fn multi_chunk_invariants_hold() {
     // Pruning: ids of chunk 1 only — chunks 0, 2, 3 must be skipped.
     let pred = Predicate::between(ColumnId(0), 1_000_000i64, 1_000_999);
     let dense = pred.eval(&rel);
-    let (mask, ranges, stats) = pred.eval_pruned(&rel);
+    let (mask, ranges, stats) = pred.eval_pruned(&rel, None);
     assert_eq!(mask.to_bools(), dense.to_bools());
     assert_eq!(stats.chunks, 4);
     assert_eq!(stats.pruned, 3);
     assert_eq!(ranges.covered_rows(), relation::CHUNK_ROWS);
+}
 
-    // Encoded expression path.
-    let enc = EncodedRelation::encode(&rel);
-    let mut scratch = DecodeScratch::default();
-    let e = Expr::col(ColumnId(1)).mul(Expr::col(ColumnId(0)));
-    let d = e.eval_masked(&rel, &mask).unwrap();
-    let m = e.eval_masked_encoded(&enc, &mask, &mut scratch).unwrap();
-    assert!(d.iter().zip(&m).all(|(a, b)| a.to_bits() == b.to_bits()));
+/// Per-chunk offsets on the int column of the tiled relation: far enough
+/// apart (relative to the strategies' literal range) that one comparison
+/// prunes some chunks, fills others, and scans the rest.
+const CHUNK_OFFSETS: [i64; 4] = [-2_500, 0, 2_500, 5_000];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The generated rows tiled over three full chunks plus a partial last
+    /// chunk, so one scan crosses chunk boundaries and mixes `AllMatch`,
+    /// `NoneMatch` and `Maybe` verdicts. The full chunks clamp the int
+    /// column to the strategy's core range before their offset (so their
+    /// zone maps stay tight); the last chunk keeps the extreme outliers,
+    /// whose plain-int encoding makes the kernels fall back. Every scan
+    /// agrees with the row oracle row by row, and the kernels change
+    /// neither ranges nor prune stats.
+    #[test]
+    fn multi_chunk_scans_match_row_oracle(
+        rows in proptest::collection::vec(row_strategy(), 1..80),
+        tail in 1..CHUNK_ROWS,
+        pred in kernel_predicate_strategy(),
+    ) {
+        let full = 3 * CHUNK_ROWS;
+        let rel = tiled_relation_of(&rows, full + tail, |g, i| {
+            let offset = CHUNK_OFFSETS[g / CHUNK_ROWS];
+            if g < full {
+                i.clamp(-1_000, 1_000) + offset
+            } else {
+                i.saturating_add(offset)
+            }
+        });
+        let reference = pred.eval(&rel);
+        let (pruned, ranges, stats) = pred.eval_pruned(&rel, None);
+        let mut kstats = KernelStats::default();
+        let (kernel, kranges, kstats_prune) = pred.eval_pruned(&rel, Some(&mut kstats));
+        for r in 0..rel.row_count() {
+            let want = pred.eval_row(&rel, r);
+            prop_assert_eq!(reference.get(r), want, "eval diverges at row {} for {}", r, &pred);
+            prop_assert_eq!(pruned.get(r), want, "eval_pruned diverges at row {} for {}", r, &pred);
+            prop_assert_eq!(kernel.get(r), want, "kernel scan diverges at row {} for {}", r, &pred);
+        }
+        prop_assert_eq!(&kranges, &ranges);
+        prop_assert_eq!(kstats_prune, stats);
+        prop_assert_eq!(stats.chunks, 4);
+    }
 }

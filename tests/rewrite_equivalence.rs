@@ -6,7 +6,7 @@ use aqua::{RewriteChoice, SamplingStrategy};
 use congress::alloc::Senate;
 use congress::CongressionalSample;
 use engine::rewrite::{Integrated, KeyNormalized, NestedIntegrated, Normalized, SamplePlan};
-use engine::{execute_exact, AggregateSpec, GroupByQuery};
+use engine::{execute_exact, execute_exact_opts, AggregateSpec, ExecOptions, GroupByQuery};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relation::{Expr, Predicate};
@@ -49,6 +49,34 @@ fn assert_results_close(a: &engine::QueryResult, b: &engine::QueryResult, tag: &
     }
 }
 
+/// Bit-for-bit equality: same groups in the same order, same `f64` bits.
+fn assert_results_identical(a: &engine::QueryResult, b: &engine::QueryResult, tag: &str) {
+    assert_eq!(
+        a.aggregate_names, b.aggregate_names,
+        "{tag}: aggregate names"
+    );
+    assert_eq!(a.rows().len(), b.rows().len(), "{tag}: group counts");
+    for ((k1, v1), (k2, v2)) in a.rows().iter().zip(b.rows()) {
+        assert_eq!(k1, k2, "{tag}: keys");
+        for (x, y) in v1.iter().zip(v2) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{tag}: {x} vs {y} at {k1}");
+        }
+    }
+}
+
+/// Every `(pruning, kernels)` combination of [`ExecOptions`]: the scan
+/// switches change how predicates are evaluated, never the answer.
+fn scan_options() -> Vec<ExecOptions<'static>> {
+    [(true, true), (true, false), (false, true), (false, false)]
+        .into_iter()
+        .map(|(pruning, kernels)| ExecOptions {
+            pruning,
+            kernels,
+            ..ExecOptions::default()
+        })
+        .collect()
+}
+
 #[test]
 fn all_rewrites_agree_on_tpcd_queries() {
     let ds = dataset();
@@ -72,6 +100,29 @@ fn all_rewrites_agree_on_tpcd_queries() {
         for p in &plans[1..] {
             let r = p.execute(q).unwrap();
             assert_results_close(&r, &reference, p.name(), 1e-9);
+        }
+        // Each plan, and the exact executor over the two-chunk base table,
+        // answers bit-identically under every scan option combination.
+        let default = ExecOptions::default();
+        let exact = execute_exact_opts(&ds.relation, q, &default).unwrap();
+        let planned: Vec<_> = plans
+            .iter()
+            .map(|p| p.execute_opts(q, &default).unwrap())
+            .collect();
+        for opts in scan_options() {
+            let tag = format!("pruning={} kernels={}", opts.pruning, opts.kernels);
+            for (p, want) in plans.iter().zip(&planned) {
+                assert_results_identical(
+                    &p.execute_opts(q, &opts).unwrap(),
+                    want,
+                    &format!("{} {tag}", p.name()),
+                );
+            }
+            assert_results_identical(
+                &execute_exact_opts(&ds.relation, q, &opts).unwrap(),
+                &exact,
+                &format!("exact {tag}"),
+            );
         }
     }
 }
